@@ -217,42 +217,42 @@ let net_tests =
                      ~runs:1 ())));
        ]))
 
-(* --- multiplexed engine: the same seeded sweep through one shared event
-       loop, wave-sized arenas, batched const-latency deliveries.  The
-       summaries are bit-identical to the sequential rows; only the wall
-       clock differs, which is the whole point. --- *)
+(* --- sweep engine: one seeded FloodSet sweep per fabric, through
+       Netsim.sweep's engine (timer wheel, arena reuse; const-latency
+       batching on the const fabric, the event heap on the uniform one) --- *)
 
 let mux_params = Eba.Params.make ~n:16 ~t:5 ~horizon:6 ~mode:Eba.Params.Crash
 
-let mux_topology =
-  Eba.Net.Topology.make ~n:16
-    ~link:(Eba.Net.Link.make ~latency:(Eba.Net.Link.Const 1.0) ~loss:0.05)
+let mux_topology ~latency =
+  Eba.Net.Topology.make ~n:16 ~link:(Eba.Net.Link.make ~latency ~loss:0.05)
 
-let mux_sweep ?mux ~runs () =
-  let sync = Eba.Net.Sync.default_for mux_topology in
+let const_fabric = Eba.Net.Link.Const 1.0
+let uniform_fabric = Eba.Net.Link.Uniform (0.2, 1.0)
+
+let mux_sweep ~latency ~runs () =
+  let topology = mux_topology ~latency in
+  let sync = Eba.Net.Sync.default_for topology in
   ignore
-    (Eba.Net.Netsim.sweep ~jobs:1 ?mux
+    (Eba.Net.Netsim.sweep ~jobs:1
        (module Eba.Floodset)
-       mux_params ~sync ~topology:mux_topology
+       mux_params ~sync ~topology
        ~dynamic:(Eba.Net.Inject.dynamic ~max_faulty:5 ())
        ~seed:8128 ~runs)
 
 let mux_tests =
   Test.make_grouped ~name:"mux"
     ([
-       Test.make ~name:"netsim sweep FloodSet n=16 t=5 const x200 sequential"
-         (Staged.stage (fun () -> mux_sweep ~runs:200 ()));
-       Test.make ~name:"netsim sweep FloodSet n=16 t=5 const x200 mux live=16"
-         (Staged.stage (mux_sweep ~mux:16 ~runs:200));
-       Test.make ~name:"netsim sweep FloodSet n=16 t=5 const x200 mux live=64"
-         (Staged.stage (mux_sweep ~mux:64 ~runs:200));
+       Test.make ~name:"netsim sweep FloodSet n=16 t=5 const x200 engine"
+         (Staged.stage (mux_sweep ~latency:const_fabric ~runs:200));
+       Test.make ~name:"netsim sweep FloodSet n=16 t=5 uniform x200 engine"
+         (Staged.stage (mux_sweep ~latency:uniform_fabric ~runs:200));
      ]
     @
     if !smoke then []
     else
       [
-        Test.make ~name:"netsim sweep FloodSet n=16 t=5 const x10000 mux live=16"
-          (Staged.stage (mux_sweep ~mux:16 ~runs:10_000));
+        Test.make ~name:"netsim sweep FloodSet n=16 t=5 const x10000 engine"
+          (Staged.stage (mux_sweep ~latency:const_fabric ~runs:10_000));
       ])
 
 (* --- builder scaling: naive vs shared at scales where sharing bites --- *)
@@ -519,45 +519,62 @@ let net_rows () =
   ]
   @ wide_rows
 
-(* Multiplexed-engine rows: each runs one seeded workload through BOTH
-   engines, wall-clocks them, and records the mux summary with throughput
-   (instances/sec) and the p99 decision latency.  The first row's workload
-   identity matches the first [net] row exactly, so CI can assert the two
-   engines' decision statistics agree within one artifact; the second is
-   the 10k-instance headline.  Timing keys (seq_ns, mux_ns,
-   instances_per_sec) are machine-dependent; everything under "summary"
-   and the p99 are exact. *)
+(* Sweep-engine rows: each times one seeded workload through
+   Netsim.sweep ([mux_ns]) and through a fold of Netsim.Make.run_one, the
+   reference engine ([seq_ns]), checks the two summaries agree, and
+   records the summary with throughput (instances/sec) and the p99
+   decision latency.  [live] is always 1: the engine runs one instance at
+   a time.  The first row's workload identity matches the first [net] row
+   exactly, so CI can assert the engine's decision statistics agree with
+   it within one artifact; the other two are the 10k-instance headlines,
+   one per delivery path (const batching, uniform event heap).  Timing
+   keys (seq_ns, mux_ns, instances_per_sec) are machine-dependent;
+   everything under "summary" and the p99 are exact. *)
 let mux_rows () =
   let row (module P : Eba.Protocol_intf.PROTOCOL) ~params ~topology ~dynamic
-      ~seed ~runs ~live =
+      ~seed ~runs =
     let sync = Eba.Net.Sync.default_for topology in
     let timed f =
       (* both engines start from a compacted heap: these rows run late in
          the artifact writer, after the wide sweeps have grown the major
-         heap, and the mux arenas' large allocations are otherwise billed
+         heap, and the engine's arena allocations are otherwise billed
          whatever GC debt the preceding sections left behind *)
       Gc.compact ();
       let t0 = monotonic_now () in
       let x = f () in
       (x, Int64.to_float (Int64.sub (monotonic_now ()) t0))
     in
-    let seq, seq_ns =
+    let reference, seq_ns =
+      timed (fun () ->
+          let module R = Eba.Net.Netsim.Make (P) in
+          let plan = Eba.Net.Inject.Dynamic dynamic in
+          let st = Eba.Net.Net_stats.fresh_state () in
+          for run = 0 to runs - 1 do
+            let rng = Eba.Net.Netsim.run_seed ~seed ~run in
+            Eba.Net.Net_stats.consume st
+              (R.run_one params ~sync ~topology ~plan ~rng
+                 (Eba.Net.Netsim.initial_config params rng))
+          done;
+          st)
+    in
+    let mux, mux_ns =
       timed (fun () ->
           Eba.Net.Netsim.sweep (module P) params ~sync ~topology ~dynamic ~seed
             ~runs)
     in
-    let mux, mux_ns =
-      timed (fun () ->
-          Eba.Net.Netsim.sweep ~mux:live
-            (module P)
-            params ~sync ~topology ~dynamic ~seed ~runs)
+    let reference =
+      Eba.Net.Net_stats.(
+        summary_of_state ~protocol:mux.ns_protocol ~params:mux.ns_params
+          ~seed:mux.ns_seed ~plan:mux.ns_plan ~topology:mux.ns_topology
+          ~sync:mux.ns_sync reference)
     in
-    if compare seq mux <> 0 then
-      failwith "mux_rows: engines disagree — the differential suite missed";
+    if compare reference mux <> 0 then
+      failwith "mux_rows: engine disagrees with run_one — the differential \
+                suite missed";
     let p99 = Eba.Net.Net_stats.p99_decision_round mux in
     Eba.Json.Obj
       [
-        ("live", Eba.Json.Int live);
+        ("live", Eba.Json.Int 1);
         ("runs", Eba.Json.Int runs);
         ("seq_ns", Eba.Json.Float seq_ns);
         ("mux_ns", Eba.Json.Float mux_ns);
@@ -569,6 +586,14 @@ let mux_rows () =
                (float_of_int p99 *. sync.Eba.Net.Sync.round_duration)) );
         ("summary", Eba.Net.Net_stats.summary_json mux);
       ]
+  in
+  let headline ~latency =
+    row
+      (module Eba.Floodset)
+      ~params:mux_params ~topology:(mux_topology ~latency)
+      ~dynamic:(Eba.Net.Inject.dynamic ~max_faulty:5 ())
+      ~seed:8128
+      ~runs:(if !smoke then 300 else 10_000)
   in
   [
     (* same identity as net row 0: the in-artifact cross-engine guard *)
@@ -583,17 +608,11 @@ let mux_rows () =
             ~partition_span:(2.0 *. sync.Eba.Net.Sync.rto)
             ~max_faulty:5 ())
        ~seed:42
-       ~runs:(if !smoke then 5 else 25)
-       ~live:8);
-    (* the headline: 10k instances, constant-latency fabric (the batched
-       path), wave size at the measured throughput peak *)
-    row
-      (module Eba.Floodset)
-      ~params:mux_params ~topology:mux_topology
-      ~dynamic:(Eba.Net.Inject.dynamic ~max_faulty:5 ())
-      ~seed:8128
-      ~runs:(if !smoke then 300 else 10_000)
-      ~live:16;
+       ~runs:(if !smoke then 5 else 25));
+    (* the headlines: 10k instances on the constant-latency fabric (the
+       batched path) and on the uniform one (the event-heap path) *)
+    headline ~latency:const_fabric;
+    headline ~latency:uniform_fabric;
   ]
 
 (* Sampled lockstep sweeps, recorded with their full regeneration identity
@@ -717,7 +736,7 @@ let () =
   benchmark ~group:"runner" ~quota:0.5 runner_tests;
   print_endline "=== bechamel: network simulator ===";
   benchmark ~group:"net" ~quota:0.5 net_tests;
-  print_endline "=== bechamel: multiplexed engine ===";
+  print_endline "=== bechamel: netsim sweep engine (Mux) ===";
   benchmark ~group:"mux" ~quota:0.5 mux_tests;
   print_endline "=== bechamel: sweep engine, 1 domain vs N domains ===";
   benchmark ~group:"parallel" ~quota:1.0 parallel_tests;

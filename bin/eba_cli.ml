@@ -244,7 +244,7 @@ let latency_conv =
 let netsim_cmd =
   let module Net = Eba.Net in
   (* Flags are only collected here; their interpretation — protocol
-     selector tables, derived sync timing, runs/mux defaulting — lives in
+     selector tables, derived sync timing and defaults — lives in
      [Eba.Server.Spec], shared verbatim with the daemon so a served
      sweep is byte-identical to this command's JSON. *)
   let module Spec = Eba.Server.Spec in
@@ -284,42 +284,10 @@ let netsim_cmd =
   in
   let runs_arg =
     Arg.(
-      value & opt (some int) None
+      value & opt int Spec.default.runs
       & info [ "runs" ] ~docv:"RUNS"
           ~doc:"Independent runs, each with a fresh random initial \
-                configuration and adversary (default 100; with $(b,--mux K), \
-                defaults to K).")
-  in
-  let mux_conv =
-    let parse s =
-      match String.lowercase_ascii s with
-      | "auto" -> Ok Spec.Mux_auto
-      | "off" -> Ok Spec.Mux_off
-      | s -> (
-          match int_of_string_opt s with
-          | Some k when k >= 1 -> Ok (Spec.Mux_live k)
-          | Some _ -> Error (`Msg "--mux: wave size must be >= 1")
-          | None -> Error (`Msg "--mux: expected auto, off or a wave size"))
-    in
-    let print fmt = function
-      | Spec.Mux_off -> Format.pp_print_string fmt "off"
-      | Spec.Mux_auto -> Format.pp_print_string fmt "auto"
-      | Spec.Mux_live k -> Format.pp_print_int fmt k
-    in
-    Arg.conv (parse, print)
-  in
-  let mux_arg =
-    Arg.(
-      value & opt mux_conv Spec.Mux_off
-      & info [ "mux" ] ~docv:"K"
-          ~doc:
-            "Run the sweep through the multiplexed engine: $(docv) instances \
-             live concurrently in one event loop, recycled arena state, \
-             batched deliveries on constant-latency fabrics.  $(b,auto) \
-             picks the measured-throughput-peak wave size (16, clamped to \
-             the run count).  The summary is bit-identical to the \
-             sequential engine for every wave size; also reports instances \
-             per second and the p99 decision latency.")
+                configuration and adversary.")
   in
   let rto_arg =
     Arg.(
@@ -374,7 +342,7 @@ let netsim_cmd =
              p0opt+ and chain0 only): identical decisions, fewer bytes on \
              the wire.")
   in
-  let run params name compact latency loss seed runs mux rto window retries
+  let run params name compact latency loss seed runs rto window retries
       omit_prob partitions span json =
     let spec =
       {
@@ -389,7 +357,6 @@ let netsim_cmd =
         loss;
         seed;
         runs;
-        mux;
         rto;
         round_duration = window;
         retries;
@@ -401,23 +368,8 @@ let netsim_cmd =
     let* resolved =
       match Spec.resolve spec with Ok r -> Ok r | Error m -> Error (`Msg m)
     in
-    let t0 = Monotonic_clock.now () in
     let summary = Spec.run resolved in
-    let elapsed = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9 in
     Format.printf "%a@." Net.Net_stats.pp summary;
-    (match resolved.Spec.r_mux with
-    | None -> ()
-    | Some live ->
-        let runs = resolved.Spec.r_runs in
-        let p99_round = Net.Net_stats.p99_decision_round summary in
-        Format.printf
-          "mux: %d instances (waves of %d) in %.3fs (%.0f instances/sec), \
-           p99 decision latency %.1fs simulated (round %d)@."
-          runs live elapsed
-          (float_of_int runs /. Float.max elapsed 1e-9)
-          (float_of_int p99_round
-          *. resolved.Spec.r_sync.Net.Sync.round_duration)
-          p99_round);
     Option.iter
       (fun file -> Eba.Json.to_file file (Net.Net_stats.summary_json summary))
       json;
@@ -433,7 +385,7 @@ let netsim_cmd =
     Term.(
       term_result
         (const run $ params_term $ protocol_arg $ compact_arg $ latency_arg
-        $ loss_arg $ seed_arg $ runs_arg $ mux_arg $ rto_arg $ window_arg
+        $ loss_arg $ seed_arg $ runs_arg $ rto_arg $ window_arg
         $ retries_arg $ omit_prob_arg $ partitions_arg $ span_arg $ json_arg))
 
 let probcheck_cmd =

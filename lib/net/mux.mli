@@ -1,97 +1,44 @@
-(** Massively multiplexed network simulation.
+(** The sweep engine behind {!Netsim.sweep}.
 
-    Runs many independent protocol instances — each with its own seed,
-    initial configuration and adversary plan, all sharing one topology and
-    synchronizer — through a {e single} event loop over one shared
-    {!Event_queue}.  Per-instance results are bit-identical to running
-    {!Netsim.Make.run_one} once per instance, because restricted to any one
-    instance the processing order (and hence that instance's rng draw
-    sequence) is exactly the sequential engine's:
+    Runs one protocol instance at a time through a reusable arena.  Every
+    outcome is bit-identical to {!Netsim.Make.run_one}'s for the same
+    generator and initial configuration — [run_one] is the reference the
+    identity suites compare against — because the processing order (and
+    hence every rng draw) is exactly the reference's.  The speed comes
+    from three mechanisms that leave that order intact:
 
-    - every event carries a sequence number from the one shared counter,
-      and the loop processes strictly in global [(time, seqno)] order;
     - deterministic timers (round boundaries, retransmission ladders) live
-      in a {!Timer_wheel} over the precomputed shared tick schedule instead
-      of the heap, merged back by exact [(time, seqno)];
+      in a {!Timer_wheel} over the precomputed tick schedule instead of the
+      heap, merged back with the heap by exact [(time, seqno)];
     - on a uniform constant-latency fabric, all copies landing at one
-      (instance, instant) collapse into one batch cell and drain in append
-      order — a reordering only of provably commuting events;
-    - instance state (nodes, wire counters, timers, batch cells) recycles
-      through arenas across waves, so steady-state allocation per run is
+      instant collapse into one batch cell and drain in append order — a
+      reordering only of provably commuting events;
+    - run state (nodes, wire counters, timers, batch cells) recycles
+      through arenas across runs, so steady-state allocation per run is
       near zero.
 
-    Cross-instance interleaving never leaks between instances: instances
-    share no mutable state, and the aggregate statistics are commutative
-    sums.  The wave partition is a pure function of [(runs, live)], so
-    sweeps are also independent of the parallel job count.
-
-    Deterministic metrics: [mux.timer_ticks], [mux.batched_deliveries],
-    [mux.arena_reuses] (counters) and [mux.live_instances] (peak gauge),
-    alongside the same [net.*] counters the sequential engine reports. *)
+    Deterministic metrics: [mux.timer_ticks], [mux.batched_deliveries] and
+    [mux.arena_reuses] (counters), alongside the same [net.*] counters the
+    reference engine reports. *)
 
 module Params = Eba_sim.Params
-
-val auto_live : runs:int -> int
-(** The default wave size when the caller asks for multiplexing without
-    picking one ([--mux auto]): throughput on one core peaks near 16
-    live instances and decays as the resident working set grows (the
-    PR 8 measurement recorded in BENCH_PR8.json), so [auto_live] is 16
-    clamped to [[1, runs]].  Results are bit-identical for every wave
-    size — this only picks the fast one. *)
+module Config = Eba_sim.Config
 
 module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) : sig
   type engine
-  (** The reusable arena: one timer wheel, one event queue, [live]
-      instance slots.  Create once, run any number of waves. *)
+  (** The reusable arena: one timer wheel, one event queue, one run's
+      state.  Create once, run any number of times; not shareable between
+      domains. *)
 
   val create :
-    Params.t ->
-    sync:Sync.t ->
-    topology:Topology.t ->
-    plan:Inject.plan ->
-    live:int ->
-    engine
-  (** Validates like the sequential engine ({!Sync.check}, topology
-      width) and additionally requires the tick schedule to be strictly
-      increasing (it always is for sane [rto]/[round_duration]). *)
+    Params.t -> sync:Sync.t -> topology:Topology.t -> plan:Inject.plan -> engine
+  (** Validates like {!Netsim.Make.run_one} ({!Sync.check}, topology
+      width). *)
 
-  val run_wave :
-    engine ->
-    rng_of_run:(int -> Random.State.t) ->
-    first:int ->
-    count:int ->
-    consume:(int -> Net_stats.outcome -> unit) ->
-    unit
-  (** Run instances [first .. first + count - 1] ([1 <= count <= live])
-      concurrently through one event loop.  [rng_of_run run] must return
-      a fresh generator for that run index (e.g. {!Netsim.run_seed});
-      each instance draws its initial configuration and adversary from it
-      in the same order as {!Netsim.sweep}.  [consume] is called once per
-      instance in run order with an outcome bit-identical to the
-      sequential engine's; the outcome's wire record is recycled after
-      the callback returns, so consume it, don't keep it. *)
-
-  val sweep_state :
-    ?jobs:int ->
-    ?cancel:Eba_util.Cancel.t ->
-    ?progress:(int -> unit) ->
-    Params.t ->
-    sync:Sync.t ->
-    topology:Topology.t ->
-    dynamic:Inject.dynamic ->
-    rng_of_run:(int -> Random.State.t) ->
-    live:int ->
-    runs:int ->
-    Net_stats.state
-  (** [runs] instances in waves of [live], folded into one
-      {!Net_stats.state} — the mux counterpart of {!Netsim.sweep}'s
-      accumulation loop (the caller renders the summary, keeping identity
-      strings in one place).  Waves are distributed over [jobs] with one
-      engine per worker; the result is independent of [jobs].
-
-      [cancel] is polled once per wave: a fired token raises
-      {!Eba_util.Cancel.Cancelled} out of the sweep within one wave per
-      worker.  [progress] is called after each completed wave with the
-      number of runs that wave finished (possibly from several domains
-      concurrently — callers aggregate with an atomic). *)
+  val run : engine -> rng:Random.State.t -> Config.t -> Net_stats.outcome
+  (** Simulate one run: compile the adversary from [rng], then draw every
+      latency and loss from it in event order — the draws
+      {!Netsim.Make.run_one} makes, in its order, so the outcome is
+      bit-identical.  The outcome's wire record belongs to the engine and
+      is reset by the next [run]: consume it, don't keep it. *)
 end

@@ -42,7 +42,9 @@ type wire = {
       (** ... of the fresh deliveries only (duplicates and late excluded) *)
   mutable w_latency_ns_sum : int;  (** over in-flight data copies *)
   mutable w_latency_ns_max : int;
-  w_latency_hist : int array;  (** length {!hist_buckets} *)
+  w_latency_hist : int array;
+      (** length {!hist_buckets}; one count per in-flight data copy, so its
+          total is the denominator of the mean copy latency *)
 }
 
 val fresh_wire : unit -> wire

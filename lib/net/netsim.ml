@@ -56,10 +56,11 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
         t_msg : P.msg;
       }
 
-  (* [run_one] after validation — sweeps check the (sync, topology) pair
-     once up front rather than once per run *)
-  let run_prepared (params : Params.t) ~(sync : Sync.t) ~topology ~plan ~rng
+  let run_one (params : Params.t) ~(sync : Sync.t) ~topology ~plan ~rng
       config =
+    Sync.check sync topology;
+    if Topology.n topology <> params.Params.n then
+      invalid_arg "Netsim: topology size does not match params";
     let n = params.Params.n and horizon = params.Params.horizon in
     let d = sync.Sync.round_duration in
     let inj = Inject.compile rng params ~total_time:(float_of_int horizon *. d) plan in
@@ -262,15 +263,6 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
       o_wire = wire;
     }
 
-  let check (params : Params.t) ~sync ~topology =
-    Sync.check sync topology;
-    if Topology.n topology <> params.Params.n then
-      invalid_arg "Netsim: topology size does not match params"
-
-  let run_one (params : Params.t) ~sync ~topology ~plan ~rng config =
-    check params ~sync ~topology;
-    run_prepared params ~sync ~topology ~plan ~rng config
-
   let replay ?sync (params : Params.t) pattern config =
     let topology = lossless_topology ~n:params.Params.n in
     let sync = match sync with Some s -> s | None -> Sync.default_for topology in
@@ -280,53 +272,40 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
     run_one params ~sync ~topology ~plan:(Inject.Replay pattern) ~rng config
 end
 
-let sweep ?jobs ?mux ?cancel ?progress
+let initial_config (params : Params.t) rng =
+  Config.make
+    (Array.init params.Params.n (fun _ ->
+         if Random.State.bool rng then Value.One else Value.Zero))
+
+let sweep ?jobs ?cancel ?progress
     (module P : Eba_protocols.Protocol_intf.PROTOCOL) (params : Params.t)
     ~sync ~topology ~dynamic ~seed ~runs =
-  let module E = Make (P) in
-  E.check params ~sync ~topology;
-  let n = params.Params.n in
-  let rng_of_run run = run_seed ~seed ~run in
+  let module M = Mux.Make (P) in
+  let plan = Inject.Dynamic dynamic in
   (* one shared counter across domains: [done] counts completed runs,
      whatever their scheduling order *)
   let completed = Atomic.make 0 in
-  let tick count =
-    let d = Atomic.fetch_and_add completed count + count in
+  (* one engine per worker, reused across all of its runs *)
+  let init () = (Net_stats.fresh_state (), M.create params ~sync ~topology ~plan) in
+  let fold (st, engine) run =
+    Eba_util.Cancel.check_opt cancel;
+    let rng = run_seed ~seed ~run in
+    let config = initial_config params rng in
+    Net_stats.consume st (M.run engine ~rng config);
     match progress with
     | None -> ()
-    | Some f -> f ~done_:d ~total:runs
+    | Some f -> f ~done_:(Atomic.fetch_and_add completed 1 + 1) ~total:runs
   in
-  let st =
-    match mux with
-    | Some live ->
-        let module M = Mux.Make (P) in
-        M.sweep_state ?jobs ?cancel ?progress:(Option.map (fun _ -> tick) progress)
-          params ~sync ~topology ~dynamic ~rng_of_run ~live ~runs
-    | None ->
-        let consume st run =
-          Eba_util.Cancel.check_opt cancel;
-          let rng = rng_of_run run in
-          let config =
-            Config.make
-              (Array.init n (fun _ ->
-                   if Random.State.bool rng then Value.One else Value.Zero))
-          in
-          let outcome =
-            E.run_prepared params ~sync ~topology
-              ~plan:(Inject.Dynamic dynamic) ~rng config
-          in
-          Net_stats.consume st outcome;
-          tick 1
-        in
-        Parallel.map_reduce_seq ?jobs ~init:Net_stats.fresh_state
-          ~fold:consume ~merge:Net_stats.merge
-          (Seq.init runs Fun.id)
+  let st, _ =
+    Parallel.map_reduce_seq ?jobs ~init ~fold
+      ~merge:(fun (into, _) (from, _) -> Net_stats.merge into from)
+      (Seq.init runs Fun.id)
   in
   Net_stats.summary_of_state
     ~protocol:P.name
     ~params:(Format.asprintf "%a" Params.pp params)
     ~seed
-    ~plan:(Inject.describe (Inject.Dynamic dynamic))
+    ~plan:(Inject.describe plan)
     ~topology:(Format.asprintf "%a" Topology.pp topology)
     ~sync:(Format.asprintf "%a" Sync.pp sync)
     st

@@ -32,6 +32,15 @@ val run_seed : seed:int -> run:int -> Random.State.t
     the run index, so a run's randomness is independent of how runs are
     distributed over domains. *)
 
+val initial_config : Params.t -> Random.State.t -> Config.t
+(** A sweep run's initial configuration: one uniform bit per processor,
+    the first draws from the run's generator.  Every engine then compiles
+    the adversary from the same generator ({!Make.run_one} and
+    {!Mux.Make.run} both do so first thing), so this function fixes the
+    whole per-run draw order: [run_one params ... ~rng (initial_config
+    params rng)] with [rng = run_seed ~seed ~run] is exactly run [run] of
+    {!sweep}. *)
+
 module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) : sig
   val run_one :
     Params.t ->
@@ -53,7 +62,6 @@ end
 
 val sweep :
   ?jobs:int ->
-  ?mux:int ->
   ?cancel:Eba_util.Cancel.t ->
   ?progress:(done_:int -> total:int -> unit) ->
   (module Eba_protocols.Protocol_intf.PROTOCOL) ->
@@ -65,20 +73,17 @@ val sweep :
   runs:int ->
   Net_stats.summary
 (** A sampled workload: [runs] independent runs, each with a uniformly
-    random initial configuration and a freshly compiled dynamic adversary,
-    distributed over [jobs] domains ({!Eba_util.Parallel}).  Per-run
-    generators come from {!run_seed} and the accumulators are exact
-    integers, so the summary is bit-identical for every job count.
+    random initial configuration ({!initial_config}) and a freshly
+    compiled dynamic adversary, distributed over [jobs] domains
+    ({!Eba_util.Parallel}) and simulated by the {!Mux} engine, one engine
+    per domain reused across its runs.  Each run's outcome is
+    bit-identical to {!Make.run_one}'s; per-run generators come from
+    {!run_seed} and the accumulators are exact integers, so the summary
+    is bit-identical for every job count.
 
-    [mux] routes the sweep through the multiplexed engine ({!Mux}) with
-    that many concurrently live instances per wave.  The summary is
-    bit-identical to the sequential path — same seeds, same outcomes,
-    same counters — the engines differ only in wall-clock.
-
-    [cancel] is a cooperative token polled at per-run (sequential path)
-    or per-wave (mux path) boundaries: once fired, the sweep raises
-    {!Eba_util.Cancel.Cancelled} within one such boundary per domain.
-    [progress] is called after each completed run (or wave) with the
+    [cancel] is a cooperative token polled before each run: once fired,
+    the sweep raises {!Eba_util.Cancel.Cancelled} within one run per
+    domain.  [progress] is called once after each completed run with the
     cumulative count of finished runs and the total; calls may arrive
     from worker domains concurrently and [done_] is not guaranteed
     monotone across racing calls — throttle and order on the consumer

@@ -5,6 +5,10 @@ type 'a t = {
   tw_seqs : int array array;
   tw_pay : 'a array array;
   mutable tw_cursor : int;
+  mutable tw_spare : (int array * 'a array) list;
+      (* arrays of drained slots, handed to the next slot that opens: only
+         a couple of slots are ever open at once, so the wheel's footprint
+         is a few slots' worth, not one per tick *)
 }
 
 let create ~times =
@@ -23,6 +27,7 @@ let create ~times =
     tw_seqs = Array.make n [||];
     tw_pay = Array.make n [||];
     tw_cursor = 0;
+    tw_spare = [];
   }
 
 let nticks w = Array.length w.tw_times
@@ -45,6 +50,13 @@ let schedule w ~tick ~seq payload =
   if tick < w.tw_cursor || tick >= Array.length w.tw_times then
     invalid_arg "Timer_wheel.schedule: tick out of range";
   let len = w.tw_len.(tick) in
+  (if len = 0 && Array.length w.tw_seqs.(tick) = 0 then
+     match w.tw_spare with
+     | (seqs, pay) :: rest ->
+         w.tw_spare <- rest;
+         w.tw_seqs.(tick) <- seqs;
+         w.tw_pay.(tick) <- pay
+     | [] -> ());
   let cap = Array.length w.tw_seqs.(tick) in
   if len = cap then begin
     (* payload arrays need a seed element, so capacity appears with the
@@ -77,14 +89,25 @@ let take w =
   w.tw_next.(c) <- next + 1;
   w.tw_pay.(c).(next)
 
+let release w tick =
+  if Array.length w.tw_seqs.(tick) > 0 then begin
+    w.tw_spare <- (w.tw_seqs.(tick), w.tw_pay.(tick)) :: w.tw_spare;
+    w.tw_seqs.(tick) <- [||];
+    w.tw_pay.(tick) <- [||]
+  end
+
 let advance w =
   let c = w.tw_cursor in
   if c >= Array.length w.tw_times then invalid_arg "Timer_wheel.advance: past the end";
   if w.tw_next.(c) < w.tw_len.(c) then
     invalid_arg "Timer_wheel.advance: slot not drained";
+  release w c;
   w.tw_cursor <- c + 1
 
 let reset w =
+  for tick = 0 to Array.length w.tw_times - 1 do
+    release w tick
+  done;
   Array.fill w.tw_len 0 (Array.length w.tw_len) 0;
   Array.fill w.tw_next 0 (Array.length w.tw_next) 0;
   w.tw_cursor <- 0

@@ -1,7 +1,7 @@
-(** A hierarchical-schedule timer wheel for the multiplexed engine.
+(** A hierarchical-schedule timer wheel for the sweep engine ({!Mux}).
 
-    When every simulated instance shares one synchronizer configuration,
-    all round boundaries and retransmission timers can only ever fire at a
+    Under one synchronizer configuration, all round boundaries and
+    retransmission timers can only ever fire at a
     {e fixed, precomputed} set of instants — the tick schedule.  The wheel
     stores one append-ordered slot per tick, so arming a timer is an array
     append and firing a slot drains it front to back: no heap sifts for
@@ -17,7 +17,9 @@
 
     The cursor advances monotonically; {!reset} rewinds it and empties
     every slot while keeping the slot arrays — the arena-reuse hook for
-    running many simulation waves through one wheel. *)
+    running many simulations through one wheel.  A drained slot hands its
+    arrays to the next slot that opens, so the wheel holds a few slots'
+    worth of capacity rather than one per tick. *)
 
 type 'a t
 

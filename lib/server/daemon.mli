@@ -31,7 +31,7 @@
     ["queued"] (the job was yanked from the queue — its [cancelled]
     reply follows immediately), ["running"] (the job's cooperative
     {!Eba_util.Cancel} token was fired; the worker polls it at
-    run/wave/pattern/chain-row boundaries and stops within one unit),
+    run/pattern/chain-row boundaries and stops within one unit),
     or ["unknown"].  The cancel's ok-ack is always written before the
     cancelled request's terminal [{"status":"cancelled"}] reply, and a
     connection close fires the tokens of all its in-flight requests.

@@ -5,8 +5,6 @@ module P = Protocol
 
 let ( let* ) = Result.bind
 
-type mux = Mux_off | Mux_auto | Mux_live of int
-
 type t = {
   protocol : string;
   compact : bool;
@@ -17,8 +15,7 @@ type t = {
   latency : Net.Link.latency;
   loss : float;
   seed : int;
-  runs : int option;
-  mux : mux;
+  runs : int;
   rto : float option;
   round_duration : float option;
   retries : int option;
@@ -39,8 +36,7 @@ let default =
     latency = Net.Link.Const 1.0;
     loss = 0.0;
     seed = 1;
-    runs = None;
-    mux = Mux_off;
+    runs = 100;
     rto = None;
     round_duration = None;
     retries = None;
@@ -84,8 +80,6 @@ type resolved = {
   r_topology : Net.Topology.t;
   r_sync : Net.Sync.t;
   r_dynamic : Net.Inject.dynamic;
-  r_runs : int;
-  r_mux : int option;
 }
 
 (* Raising constructors ([Params.make], [Link.make], [Sync.make], ...)
@@ -142,27 +136,13 @@ let resolve spec =
             (Option.value spec.partition_span ~default:(2.0 *. rto))
           ~max_faulty:spec.t_failures ())
   in
-  let r_runs =
-    match (spec.runs, spec.mux) with
-    | Some r, _ -> r
-    | None, Mux_live live -> live
-    | None, (Mux_off | Mux_auto) -> 100
-  in
-  let* () = if r_runs >= 1 then Ok () else Error "runs must be >= 1" in
-  let* r_mux =
-    match spec.mux with
-    | Mux_off -> Ok None
-    | Mux_auto -> Ok (Some (Net.Mux.auto_live ~runs:r_runs))
-    | Mux_live k ->
-        if k >= 1 then Ok (Some k) else Error "mux wave size must be >= 1"
-  in
-  Ok { r_spec = spec; r_protocol; r_params; r_topology; r_sync; r_dynamic;
-       r_runs; r_mux }
+  let* () = if spec.runs >= 1 then Ok () else Error "runs must be >= 1" in
+  Ok { r_spec = spec; r_protocol; r_params; r_topology; r_sync; r_dynamic }
 
 let run ?cancel ?progress r =
-  Net.Netsim.sweep ?jobs:r.r_spec.jobs ?mux:r.r_mux ?cancel ?progress
-    r.r_protocol r.r_params ~sync:r.r_sync ~topology:r.r_topology
-    ~dynamic:r.r_dynamic ~seed:r.r_spec.seed ~runs:r.r_runs
+  Net.Netsim.sweep ?jobs:r.r_spec.jobs ?cancel ?progress r.r_protocol
+    r.r_params ~sync:r.r_sync ~topology:r.r_topology ~dynamic:r.r_dynamic
+    ~seed:r.r_spec.seed ~runs:r.r_spec.runs
 
 (* --- JSON (de)serialization of the spec --- *)
 
@@ -195,7 +175,7 @@ let check_keys ~allowed params =
 let netsim_keys =
   [
     "protocol"; "compact"; "n"; "t"; "horizon"; "mode"; "latency"; "loss";
-    "seed"; "runs"; "mux"; "rto"; "round_duration"; "retries"; "omit_prob";
+    "seed"; "runs"; "rto"; "round_duration"; "retries"; "omit_prob";
     "partitions"; "partition_span"; "jobs";
   ]
 
@@ -207,14 +187,6 @@ let get_latency ?(default = default.latency) params key =
       | lat -> Ok lat
       | exception Invalid_argument m -> Error m)
   | Some _ -> Error (Printf.sprintf "%S must be a latency spec string" key)
-
-let get_mux params =
-  match P.mem params "mux" with
-  | None | Some Json.Null -> Ok Mux_off
-  | Some (Json.String "off") -> Ok Mux_off
-  | Some (Json.String "auto") -> Ok Mux_auto
-  | Some (Json.Int k) -> Ok (Mux_live k)
-  | Some _ -> Error "\"mux\" must be \"off\", \"auto\" or a wave size"
 
 let of_json params =
   let d = default in
@@ -233,8 +205,7 @@ let of_json params =
   let* latency = get_latency params "latency" in
   let* loss = P.get_float ~default:d.loss params "loss" in
   let* seed = P.get_int ~default:d.seed params "seed" in
-  let* runs = P.get_int_opt params "runs" in
-  let* mux = get_mux params in
+  let* runs = P.get_int ~default:d.runs params "runs" in
   let* rto = P.get_float_opt params "rto" in
   let* round_duration = P.get_float_opt params "round_duration" in
   let* retries = P.get_int_opt params "retries" in
@@ -245,7 +216,7 @@ let of_json params =
   Ok
     {
       protocol; compact; n; t_failures; horizon; mode; latency; loss; seed;
-      runs; mux; rto; round_duration; retries; omit_prob; partitions;
+      runs; rto; round_duration; retries; omit_prob; partitions;
       partition_span; jobs;
     }
 
@@ -267,12 +238,7 @@ let to_params spec =
   |> opt_int "retries" spec.retries
   |> opt_float "round_duration" spec.round_duration
   |> opt_float "rto" spec.rto
-  |> (fun rest ->
-       match spec.mux with
-       | Mux_off -> rest
-       | Mux_auto -> ("mux", Json.String "auto") :: rest
-       | Mux_live k -> ("mux", Json.Int k) :: rest)
-  |> opt_int "runs" spec.runs
+  |> add (spec.runs <> d.runs) ("runs", Json.Int spec.runs)
   |> add (spec.seed <> d.seed) ("seed", Json.Int spec.seed)
   |> add (spec.loss <> d.loss) ("loss", Json.Float spec.loss)
   |> add (spec.latency <> d.latency)

@@ -14,11 +14,6 @@ module Json = Eba_util.Json
 module Params = Eba_sim.Params
 module Net = Eba_net
 
-(** Multiplex selection: [Mux_auto] picks the measured-throughput-peak
-    wave size ({!Eba_net.Mux.auto_live}); results are bit-identical
-    across all three. *)
-type mux = Mux_off | Mux_auto | Mux_live of int
-
 type t = {
   protocol : string;
   compact : bool;
@@ -29,8 +24,7 @@ type t = {
   latency : Net.Link.latency;
   loss : float;
   seed : int;
-  runs : int option;  (** [None]: 100, or the explicit mux wave size *)
-  mux : mux;
+  runs : int;
   rto : float option;  (** [None]: derived from the topology's bound *)
   round_duration : float option;  (** [None]: 8 RTOs *)
   retries : int option;  (** [None]: the {!Eba_net.Sync.default_for} budget *)
@@ -42,7 +36,7 @@ type t = {
 
 val default : t
 (** FloodSet, [n = 3], [t = 1], [horizon = 3], crash mode, unit constant
-    latency, no loss, seed 1 — the CLI's flag defaults. *)
+    latency, no loss, seed 1, 100 runs — the CLI's flag defaults. *)
 
 val protocol_names : string list
 val compact_protocol_names : string list
@@ -66,8 +60,6 @@ type resolved = {
   r_topology : Net.Topology.t;
   r_sync : Net.Sync.t;
   r_dynamic : Net.Inject.dynamic;
-  r_runs : int;
-  r_mux : int option;  (** the concrete wave size, [Mux_auto] resolved *)
 }
 
 val resolve : t -> (resolved, string) result
@@ -80,8 +72,8 @@ val run :
   resolved ->
   Net.Net_stats.summary
 (** {!Eba_net.Netsim.sweep} with the resolved arguments — bit-identical
-    for every job count and mux wave size.  [cancel] and [progress] pass
-    straight through to the sweep (polled per run or wave); both default
+    for every job count.  [cancel] and [progress] pass straight through
+    to the sweep (polled and reported once per run); both default
     off, so CLI and daemon answers stay byte-identical whether or not a
     caller opts in. *)
 

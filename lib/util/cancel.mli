@@ -3,7 +3,7 @@
     A token is a single atomic flag shared between the party that may
     abort a computation and the domains doing the work.  Workers poll it
     at natural unit-of-work boundaries — one simulated run, one
-    multiplexed wave, one exhaustive-workload pattern, one chain row —
+    exhaustive-workload pattern, one chain row —
     via {!check}, which raises {!Cancelled} once {!cancel} has been
     called.  Polling is a plain atomic read, so threading a token
     through a sweep leaves its results and deterministic metrics

@@ -1,11 +1,12 @@
-(* The multiplexed engine's load-bearing property: running N instances
-   through one shared event loop is invisible.  Per-instance outcomes —
-   decisions, decision instants, wire counters, rng-driven drop/latency
-   draws — are bit-identical to running the sequential engine once per
-   instance with the same (seed, run) generators, across every operational
-   protocol and its compact variants, on both the batched (uniform
-   constant-latency) and heap (randomized-latency, heterogeneous,
-   zero-latency) paths, and independent of the parallel job count.
+(* The sweep engine's load-bearing property: its speed machinery (timer
+   wheel, const-latency batching, arena reuse across runs) is invisible.
+   Per-run outcomes — decisions, decision instants, wire counters,
+   rng-driven drop/latency draws — from one engine reused across runs are
+   bit-identical to Netsim.Make.run_one, the reference, with the same
+   (seed, run) generators, across every operational protocol and its
+   compact variants, on both the batched (uniform constant-latency) and
+   heap (randomized-latency, heterogeneous, zero-latency) paths; and
+   Netsim.sweep's summary equals the fold of the reference at jobs 1 and 4.
 
    Plus the satellite regressions: event-queue push/pop order pinned
    across growth boundaries and reserve/clear, timer-wheel slot
@@ -141,54 +142,77 @@ let wheel_tests =
         check_int "rewound" 0 (TW.cursor w);
         TW.advance w;
         check "slots emptied" true (TW.peek w = None));
+    test "drained slots' arrays serve later slots without stale entries"
+      (fun () ->
+        let w = TW.create ~times:[| 0.0; 1.0; 2.0 |] in
+        for i = 0 to 20 do
+          TW.schedule w ~tick:0 ~seq:i i
+        done;
+        for _ = 0 to 20 do
+          ignore (TW.take w)
+        done;
+        TW.advance w;
+        TW.schedule w ~tick:2 ~seq:30 30;
+        TW.schedule w ~tick:1 ~seq:31 31;
+        check "tick 1 holds only its entry" true (TW.peek w = Some (1.0, 31));
+        check_int "take" 31 (TW.take w);
+        check "tick 1 drained" true (TW.peek w = None);
+        TW.advance w;
+        check "tick 2 holds only its entry" true (TW.peek w = Some (2.0, 30));
+        check_int "take" 30 (TW.take w));
   ]
 
-(* --- per-instance bit-identity against the sequential engine --- *)
+(* --- engine bit-identity against the run_one reference --- *)
 
 let crash_params ~n ~t = Eba.Params.make ~n ~t ~horizon:(t + 1) ~mode:Eba.Params.Crash
 
-(* the sequential side of the differential: replicates Netsim.sweep's
-   per-run draw order exactly *)
-let sequential_outcomes (module P : Eba.Protocol_intf.PROTOCOL) params ~sync
-    ~topology ~plan ~seed ~runs =
+(* run [run] of a sweep, on the reference engine *)
+let reference_outcome (module P : Eba.Protocol_intf.PROTOCOL) params ~sync
+    ~topology ~plan ~seed run =
   let module S = Net.Netsim.Make (P) in
-  let n = params.Eba.Params.n in
-  Array.init runs (fun run ->
-      let rng = Net.Netsim.run_seed ~seed ~run in
-      let config =
-        Eba.Config.make
-          (Array.init n (fun _ ->
-               if Random.State.bool rng then Eba.Value.One else Eba.Value.Zero))
-      in
-      S.run_one params ~sync ~topology ~plan ~rng config)
+  let rng = Net.Netsim.run_seed ~seed ~run in
+  S.run_one params ~sync ~topology ~plan ~rng
+    (Net.Netsim.initial_config params rng)
 
-let mux_matches (module P : Eba.Protocol_intf.PROTOCOL) params ?sync ~topology
-    ~dynamic ~seed ~live ~runs () =
+(* a folded reference state, rendered with a sweep summary's identity
+   strings so the two compare field for field *)
+let as_summary (s : Net.Net_stats.summary) st =
+  Net.Net_stats.summary_of_state ~protocol:s.Net.Net_stats.ns_protocol
+    ~params:s.Net.Net_stats.ns_params ~seed:s.Net.Net_stats.ns_seed
+    ~plan:s.Net.Net_stats.ns_plan ~topology:s.Net.Net_stats.ns_topology
+    ~sync:s.Net.Net_stats.ns_sync st
+
+(* One engine reused across [runs] runs must reproduce every reference
+   outcome, and Netsim.sweep at jobs 1 and 4 must equal the reference
+   fold. *)
+let engine_matches (module P : Eba.Protocol_intf.PROTOCOL) params ?sync
+    ~topology ~dynamic ~seed ~runs () =
   let sync =
     match sync with Some s -> s | None -> Net.Sync.default_for topology
   in
   let plan = Net.Inject.Dynamic dynamic in
-  let seq =
-    sequential_outcomes (module P) params ~sync ~topology ~plan ~seed ~runs
-  in
   let module M = Net.Mux.Make (P) in
-  let eng = M.create params ~sync ~topology ~plan ~live in
-  let compared = ref 0 in
-  let rec waves first =
-    if first < runs then begin
-      let count = min live (runs - first) in
-      M.run_wave eng
-        ~rng_of_run:(fun run -> Net.Netsim.run_seed ~seed ~run)
-        ~first ~count
-        ~consume:(fun run o ->
-          incr compared;
-          if compare seq.(run) o <> 0 then
-            Alcotest.failf "run %d: mux outcome differs from sequential" run);
-      waves (first + count)
-    end
-  in
-  waves 0;
-  check_int "every run compared" runs !compared
+  let eng = M.create params ~sync ~topology ~plan in
+  let reference = Net.Net_stats.fresh_state () in
+  for run = 0 to runs - 1 do
+    let expected =
+      reference_outcome (module P) params ~sync ~topology ~plan ~seed run
+    in
+    Net.Net_stats.consume reference expected;
+    let rng = Net.Netsim.run_seed ~seed ~run in
+    if compare expected (M.run eng ~rng (Net.Netsim.initial_config params rng)) <> 0
+    then Alcotest.failf "run %d: engine outcome differs from run_one" run
+  done;
+  List.iter
+    (fun jobs ->
+      let s =
+        Net.Netsim.sweep ~jobs (module P) params ~sync ~topology ~dynamic ~seed
+          ~runs
+      in
+      if compare s (as_summary s reference) <> 0 then
+        Alcotest.failf "jobs %d: sweep summary differs from the run_one fold"
+          jobs)
+    [ 1; 4 ]
 
 let const_topology ~n ~loss =
   Net.Topology.make ~n ~link:(Net.Link.make ~latency:(Net.Link.Const 1.0) ~loss)
@@ -203,17 +227,19 @@ let identity_tests =
       let params = crash_params ~n:6 ~t:2 in
       [
         test
-          (Printf.sprintf "%s: mux = sequential, const latency (batched path)" name)
-          (mux_matches p params
+          (Printf.sprintf "%s: engine = run_one, const latency (batched path)"
+             name)
+          (engine_matches p params
              ~topology:(const_topology ~n:6 ~loss:0.1)
              ~dynamic:(Net.Inject.dynamic ~max_faulty:2 ())
-             ~seed:42 ~live:4 ~runs:7);
+             ~seed:42 ~runs:7);
         test
-          (Printf.sprintf "%s: mux = sequential, uniform latency (heap path)" name)
-          (mux_matches p params
+          (Printf.sprintf "%s: engine = run_one, uniform latency (heap path)"
+             name)
+          (engine_matches p params
              ~topology:(uniform_topology ~n:6 ~loss:0.1)
              ~dynamic:(Net.Inject.dynamic ~max_faulty:2 ())
-             ~seed:1729 ~live:4 ~runs:7);
+             ~seed:1729 ~runs:7);
       ])
     all_protocols
 
@@ -222,15 +248,15 @@ let corner_tests =
     test "tie corner: rto = link latency, deliveries land exactly on ticks"
       (* every arrival instant is also a retry tick, so nothing batches
          and the wheel-vs-heap merge resolves every collision by seqno *)
-      (mux_matches
+      (engine_matches
          (module Eba.Floodset)
          (crash_params ~n:5 ~t:2)
          ~sync:(Net.Sync.make ~round_duration:8.0 ~rto:1.0 ~max_retries:7)
          ~topology:(const_topology ~n:5 ~loss:0.3)
          ~dynamic:(Net.Inject.dynamic ~max_faulty:2 ())
-         ~seed:7 ~live:3 ~runs:6);
+         ~seed:7 ~runs:6);
     test "zero-latency links: arrival = now falls back to the heap"
-      (mux_matches
+      (engine_matches
          (module Eba.Floodset)
          (crash_params ~n:4 ~t:1)
          ~sync:(Net.Sync.make ~round_duration:4.0 ~rto:1.0 ~max_retries:3)
@@ -238,65 +264,77 @@ let corner_tests =
            (Net.Topology.make ~n:4
               ~link:(Net.Link.make ~latency:(Net.Link.Const 0.0) ~loss:0.2))
          ~dynamic:(Net.Inject.dynamic ~max_faulty:1 ())
-         ~seed:11 ~live:4 ~runs:5);
+         ~seed:11 ~runs:5);
     test "heterogeneous override disables batching, not correctness"
-      (mux_matches
+      (engine_matches
          (module Eba.Floodset)
          (crash_params ~n:5 ~t:1)
          ~topology:
            (Net.Topology.with_link (const_topology ~n:5 ~loss:0.1) ~src:0 ~dst:1
               (Net.Link.make ~latency:(Net.Link.Const 2.0) ~loss:0.5))
          ~dynamic:(Net.Inject.dynamic ~max_faulty:1 ())
-         ~seed:23 ~live:3 ~runs:5);
-    test "omissions and partitions under mux"
-      (mux_matches
+         ~seed:23 ~runs:5);
+    test "omissions and partitions through the engine"
+      (engine_matches
          (module Eba.Floodset)
          (Eba.Params.make ~n:6 ~t:2 ~horizon:3 ~mode:Eba.Params.Omission)
          ~topology:(const_topology ~n:6 ~loss:0.0)
          ~dynamic:
            (Net.Inject.dynamic ~max_faulty:2 ~omit_prob:0.3 ~partitions:2
               ~partition_span:2.0 ())
-         ~seed:99 ~live:4 ~runs:8);
-    test "single-instance waves degenerate to the sequential engine"
-      (mux_matches
+         ~seed:99 ~runs:8);
+    test "engine reused across runs = run_one, Chain0 uniform latency n=4"
+      (engine_matches
          (module Eba.Chain0)
          (crash_params ~n:4 ~t:1)
          ~topology:(uniform_topology ~n:4 ~loss:0.05)
          ~dynamic:(Net.Inject.dynamic ~max_faulty:1 ())
-         ~seed:5 ~live:1 ~runs:4);
+         ~seed:5 ~runs:4);
   ]
 
 (* --- sweep-level equality and jobs-independence --- *)
 
-let sweep_of ~jobs ?mux ~seed ~runs ~n ~t topology =
+let sweep_of ~jobs ~seed ~runs ~n ~t topology =
   let params = crash_params ~n ~t in
   let sync = Net.Sync.default_for topology in
-  Net.Netsim.sweep ~jobs ?mux
+  Net.Netsim.sweep ~jobs
     (module Eba.Floodset)
     params ~sync ~topology
     ~dynamic:(Net.Inject.dynamic ~max_faulty:t ())
     ~seed ~runs
 
+(* the fold of run_one over a [sweep_of]'s runs *)
+let reference_fold ~seed ~runs ~n ~t topology =
+  let params = crash_params ~n ~t in
+  let sync = Net.Sync.default_for topology in
+  let plan = Net.Inject.Dynamic (Net.Inject.dynamic ~max_faulty:t ()) in
+  let st = Net.Net_stats.fresh_state () in
+  for run = 0 to runs - 1 do
+    Net.Net_stats.consume st
+      (reference_outcome
+         (module Eba.Floodset)
+         params ~sync ~topology ~plan ~seed run)
+  done;
+  st
+
+let matches_reference ~jobs ~seed ~runs ~n ~t topology =
+  let s = sweep_of ~jobs ~seed ~runs ~n ~t topology in
+  compare s (as_summary s (reference_fold ~seed ~runs ~n ~t topology)) = 0
+
 let sweep_tests =
   [
-    qtest ~count:6 "qcheck: sweep ~mux summary = sequential sweep, jobs 1 and 4"
+    qtest ~count:6 "qcheck: sweep summary = run_one fold, jobs 1 and 4"
       QCheck2.Gen.(pair (int_bound 10_000) (int_range 1 3))
       (fun (seed, t) ->
         let topology = uniform_topology ~n:8 ~loss:0.1 in
-        let s = sweep_of ~jobs:1 ~seed ~runs:11 ~n:8 ~t topology in
-        compare s (sweep_of ~jobs:1 ~mux:4 ~seed ~runs:11 ~n:8 ~t topology) = 0
-        && compare s (sweep_of ~jobs:4 ~mux:4 ~seed ~runs:11 ~n:8 ~t topology) = 0);
-    test "batched path: mux sweep summary = sequential (multi-wave, partial last)"
-      (fun () ->
+        matches_reference ~jobs:1 ~seed ~runs:11 ~n:8 ~t topology
+        && matches_reference ~jobs:4 ~seed ~runs:11 ~n:8 ~t topology);
+    test "batched path: sweep summary = run_one fold, jobs 1 and 4" (fun () ->
         let topology = const_topology ~n:8 ~loss:0.05 in
-        let s = sweep_of ~jobs:1 ~seed:2026 ~runs:10 ~n:8 ~t:2 topology in
-        check "mux 3 (4 waves)" true
-          (compare s (sweep_of ~jobs:1 ~mux:3 ~seed:2026 ~runs:10 ~n:8 ~t:2 topology)
-          = 0);
-        check "mux larger than runs" true
-          (compare s
-             (sweep_of ~jobs:1 ~mux:64 ~seed:2026 ~runs:10 ~n:8 ~t:2 topology)
-          = 0));
+        check "jobs 1" true
+          (matches_reference ~jobs:1 ~seed:2026 ~runs:10 ~n:8 ~t:2 topology);
+        check "jobs 4" true
+          (matches_reference ~jobs:4 ~seed:2026 ~runs:10 ~n:8 ~t:2 topology));
   ]
 
 (* --- decision-round quantiles (the p99 headline) --- *)
@@ -317,7 +355,7 @@ let quantile_tests =
         check "p99 within horizon" true (q 990 >= 1 && q 990 <= 4));
   ]
 
-(* --- mux metrics --- *)
+(* --- engine metrics --- *)
 
 let metrics_tests =
   [
@@ -330,7 +368,7 @@ let metrics_tests =
             let run ~jobs =
               Metrics.reset ();
               ignore
-                (sweep_of ~jobs ~mux:4 ~seed:3 ~runs:10 ~n:8 ~t:2
+                (sweep_of ~jobs ~seed:3 ~runs:10 ~n:8 ~t:2
                    (const_topology ~n:8 ~loss:0.05));
               Metrics.deterministic_counters ()
             in
@@ -341,9 +379,19 @@ let metrics_tests =
             check "timer ticks" true (value "mux.timer_ticks" > 0);
             check "batched deliveries" true (value "mux.batched_deliveries" > 0);
             check "arena reuses" true (value "mux.arena_reuses" > 0);
-            check_int "peak live instances" 4 (value "mux.live_instances");
             check_int "runs counted once" 10 (value "net.runs_simulated");
-            check "jobs-independent" true (run ~jobs:4 = c1)));
+            check "jobs-independent" true (run ~jobs:4 = c1);
+            (* the net.* totals are the reference engine's, by name *)
+            let net =
+              List.filter (fun (name, _) ->
+                  String.starts_with ~prefix:"net." name)
+            in
+            Metrics.reset ();
+            ignore
+              (reference_fold ~seed:3 ~runs:10 ~n:8 ~t:2
+                 (const_topology ~n:8 ~loss:0.05));
+            check "net.* = run_one fold" true
+              (net (Metrics.deterministic_counters ()) = net c1)));
   ]
 
 let tests =

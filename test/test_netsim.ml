@@ -214,6 +214,55 @@ let determinism_tests =
         check "distinct" true (compare s1 s2 <> 0));
   ]
 
+(* --- the printed copy-latency mean --- *)
+
+(* the (mean, max) seconds of [Net_stats.pp]'s copy-latency line *)
+let printed_copy_latency s =
+  let line =
+    List.find
+      (fun l -> String.starts_with ~prefix:"  copy latency:" l)
+      (String.split_on_char '\n' (Format.asprintf "%a" Net.Net_stats.pp s))
+  in
+  Scanf.sscanf line "  copy latency: mean %g s, max %g s" (fun mean max ->
+      (mean, max))
+
+let p0opt_sweep ~latency =
+  let params = Eba.Params.make ~n:16 ~t:5 ~horizon:6 ~mode:Eba.Params.Crash in
+  let topology =
+    Net.Topology.make ~n:16 ~link:(Net.Link.make ~latency ~loss:0.05)
+  in
+  Net.Netsim.sweep ~jobs:1
+    (Eba.P0opt.for_params params)
+    params
+    ~sync:(Net.Sync.default_for topology)
+    ~topology
+    ~dynamic:(Net.Inject.dynamic ~max_faulty:5 ())
+    ~seed:7 ~runs:20
+
+let latency_print_tests =
+  [
+    test "lossy const:1 sweep prints a mean copy latency of exactly 1 s"
+      (fun () ->
+        (* lost acks count in the drop counters too; the mean divides by
+           the in-flight data copies only *)
+        let s = p0opt_sweep ~latency:(Net.Link.Const 1.0) in
+        check "acks were lost" true
+          (s.Net.Net_stats.ns_wire.Net.Net_stats.w_dropped_loss > 0);
+        let mean, max = printed_copy_latency s in
+        check "mean = link latency" true (mean = 1.0);
+        check "max = link latency" true (max = 1.0));
+    test "printed mean copy latency never exceeds the max" (fun () ->
+        List.iter
+          (fun latency ->
+            let mean, max = printed_copy_latency (p0opt_sweep ~latency) in
+            check "mean <= max" true (mean <= max))
+          [
+            Net.Link.Const 1.0;
+            Net.Link.Uniform (0.2, 1.0);
+            Net.Link.Spike { base = 0.2; prob = 0.1; spike = 1.0 };
+          ]);
+  ]
+
 (* --- dynamic adversaries and the large-n acceptance workload --- *)
 
 let acceptance_tests =
@@ -280,7 +329,7 @@ let acceptance_tests =
 
 (* --- cooperative cancellation and progress --- *)
 
-let sweep_cancellable ?cancel ?progress ?mux ~jobs ~runs () =
+let sweep_cancellable ?cancel ?progress ~jobs ~runs () =
   let n = 4 and t = 1 in
   let params = Eba.Params.make ~n ~t ~horizon:(t + 1) ~mode:Eba.Params.Crash in
   let topology =
@@ -288,7 +337,7 @@ let sweep_cancellable ?cancel ?progress ?mux ~jobs ~runs () =
       ~link:(Net.Link.make ~latency:(Net.Link.Const 1.0) ~loss:0.0)
   in
   let sync = Net.Sync.default_for topology in
-  Net.Netsim.sweep ~jobs ?mux ?cancel ?progress
+  Net.Netsim.sweep ~jobs ?cancel ?progress
     (module Eba.Floodset)
     params ~sync ~topology
     ~dynamic:(Net.Inject.dynamic ~max_faulty:t ())
@@ -298,13 +347,13 @@ let cancel_tests =
   [
     test "a pre-fired token cancels the sweep before any run" (fun () ->
         List.iter
-          (fun (jobs, mux) ->
+          (fun jobs ->
             let cancel = Eba.Cancel.create () in
             Eba.Cancel.cancel cancel;
-            match sweep_cancellable ~cancel ?mux ~jobs ~runs:50 () with
+            match sweep_cancellable ~cancel ~jobs ~runs:50 () with
             | _ -> Alcotest.fail "cancelled sweep returned a summary"
             | exception Eba.Cancel.Cancelled -> ())
-          [ (1, None); (4, None); (1, Some 8); (4, Some 8) ]);
+          [ 1; 4 ]);
     test "a token fired from mid-sweep progress stops within the sweep"
       (fun () ->
         (* fire the token the moment the third run completes: the sweep
@@ -320,28 +369,26 @@ let cancel_tests =
         | _ -> Alcotest.fail "cancelled sweep returned a summary"
         | exception Eba.Cancel.Cancelled -> ());
         check "stopped promptly" true (!seen < 100));
-    test "progress reports every run exactly once, jobs 1 and 4, mux on \
-          and off"
-      (fun () ->
+    test "progress reports every run exactly once, jobs 1 and 4" (fun () ->
+        let runs = 40 in
+        let plain = sweep_cancellable ~jobs:1 ~runs () in
         List.iter
-          (fun (jobs, mux) ->
+          (fun jobs ->
             let ticks = ref 0 and peak = ref 0 and totals_ok = ref true in
             let lock = Mutex.create () in
             let progress ~done_ ~total =
               Mutex.lock lock;
               incr ticks;
               peak := max !peak done_;
-              if total <> 40 then totals_ok := false;
+              if total <> runs then totals_ok := false;
               Mutex.unlock lock
             in
-            let runs = 40 in
-            ignore (sweep_cancellable ~progress ?mux ~jobs ~runs ());
+            let s = sweep_cancellable ~progress ~jobs ~runs () in
             check "total is always the run count" true !totals_ok;
             check_int "cumulative done reaches runs" runs !peak;
-            (* non-mux ticks once per run; mux ticks once per completed
-               wave batch, so at most once per run either way *)
-            check "no overcounting" true (!ticks <= runs))
-          [ (1, None); (4, None); (1, Some 8); (4, Some 8) ]);
+            check_int "one tick per run" runs !ticks;
+            check "observing progress changes nothing" true (compare s plain = 0))
+          [ 1; 4 ]);
     test "a cancelled sweep with progress never reports beyond the stop"
       (fun () ->
         let cancel = Eba.Cancel.create () in
@@ -358,6 +405,6 @@ let cancel_tests =
 
 let tests =
   eq_tests @ link_tests @ differential_tests @ determinism_tests
-  @ acceptance_tests @ cancel_tests
+  @ latency_print_tests @ acceptance_tests @ cancel_tests
 
 let suite = ("netsim", tests)

@@ -117,7 +117,7 @@ let sweep_params ~seed =
   ]
 
 let sweep_spec ~seed =
-  { Spec.default with n = 4; t_failures = 1; runs = Some 5; seed }
+  { Spec.default with n = 4; t_failures = 1; runs = 5; seed }
 
 (* --- framing --- *)
 
@@ -213,39 +213,43 @@ let spec_tests =
             n = 8;
             t_failures = 2;
             seed = 42;
-            runs = Some 7;
-            mux = Spec.Mux_auto;
+            runs = 7;
             loss = 0.1;
           }
         in
         match Spec.of_json (Json.Obj (Spec.to_params spec)) with
         | Ok spec' -> check "round trip" true (spec = spec')
         | Error m -> Alcotest.fail m);
-    test "runs defaults: 100 plain, the wave size under --mux K" (fun () ->
-        let r s = Result.get_ok (Spec.resolve s) in
-        check_int "plain" 100 (r Spec.default).Spec.r_runs;
-        let mux7 = { Spec.default with mux = Spec.Mux_live 7 } in
-        check_int "mux 7" 7 (r mux7).Spec.r_runs;
-        check_int "mux auto" 100
-          (r { Spec.default with mux = Spec.Mux_auto }).Spec.r_runs);
-    test "mux auto resolves to the measured peak, clamped" (fun () ->
-        check_int "peak" 16 (Net.Mux.auto_live ~runs:100);
-        check_int "clamped to runs" 5 (Net.Mux.auto_live ~runs:5);
-        check_int "floor" 1 (Net.Mux.auto_live ~runs:0);
-        let resolved =
-          Result.get_ok
-            (Spec.resolve
-               { (sweep_spec ~seed:3) with runs = Some 40; mux = Spec.Mux_auto })
-        in
-        check "auto = 16 at 40 runs" true (resolved.Spec.r_mux = Some 16));
-    test "mux auto sweep is byte-identical to explicit 16 and to off"
+    test "runs defaults to 100" (fun () ->
+        match Spec.of_json (Json.Obj []) with
+        | Ok spec -> check_int "runs" 100 spec.Spec.runs
+        | Error m -> Alcotest.fail m);
+    test "a \"mux\" field is an unknown field, served and on the CLI"
       (fun () ->
-        let bytes mux =
-          cli_netsim_bytes { (sweep_spec ~seed:11) with runs = Some 40; mux }
-        in
-        let auto = bytes Spec.Mux_auto in
-        check_str "auto = mux 16" auto (bytes (Spec.Mux_live 16));
-        check_str "auto = sequential" auto (bytes Spec.Mux_off));
+        (* a served request naming an unknown field gets the typed error
+           listing the allowed keys, and the daemon keeps answering *)
+        with_daemon (fun bound ->
+            with_client bound (fun c ->
+                (match
+                   Client.call c ~verb:"netsim-sweep"
+                     ~params:(("mux", Json.Int 4) :: sweep_params ~seed:1)
+                     ()
+                 with
+                | Ok
+                    ( _,
+                      Protocol.Error_reply
+                        { code = Protocol.Bad_request; message } ) ->
+                    check "names the field" true
+                      (contains message "unknown field \"mux\"");
+                    check "lists the allowed keys" true
+                      (contains message "allowed: protocol, compact")
+                | _ -> Alcotest.fail "expected bad-request");
+                match Client.call c ~verb:"status" () with
+                | Ok (_, Protocol.Ok_result _) -> ()
+                | _ -> Alcotest.fail "daemon must still answer status"));
+        (* and the CLI flag is a usage error (cmdliner exits 124) *)
+        check_int "eba netsim --mux 4" 124
+          (Sys.command "../bin/eba_cli.exe netsim --mux 4 >/dev/null 2>&1"));
   ]
 
 (* --- served vs CLI byte identity --- *)
