@@ -85,35 +85,13 @@ let jobs_term =
   in
   Term.(term_result (const set $ jobs_arg))
 
-let build_conv =
-  Arg.enum [ ("shared", Eba.Model.Shared); ("naive", Eba.Model.Naive) ]
-
-let build_arg =
-  Arg.(
-    value
-    & opt build_conv Eba.Model.Shared
-    & info [ "build" ] ~docv:"BUILDER"
-        ~doc:
-          "Model builder: $(b,shared) (default) walks the shared-prefix \
-           pattern forest and extends views once per signature class; \
-           $(b,naive) simulates every run independently.  Both produce \
-           bit-identical models — the flag is an escape hatch for \
-           benchmarking and for cross-checking the shared builder.")
-
-(* Like [jobs_term]: evaluated before every command, steering the
-   process-wide builder default. *)
-let build_term =
-  let set b = Eba.Model.set_builder b in
-  Term.(const set $ build_arg)
-
 let params_term =
-  let make () () () n t horizon mode = Eba.Params.make ~n ~t ~horizon ~mode in
+  let make () () n t horizon mode = Eba.Params.make ~n ~t ~horizon ~mode in
   Term.(
-    const make $ jobs_term $ metrics_term $ build_term $ n_arg $ t_arg
-    $ horizon_arg $ mode_arg)
+    const make $ jobs_term $ metrics_term $ n_arg $ t_arg $ horizon_arg
+    $ mode_arg)
 
-let protocol_names =
-  [ "never"; "p0"; "p1"; "p0opt"; "f-lambda-2"; "chain0"; "f-star" ]
+let protocol_names = List.map fst Eba.Zoo.named
 
 let protocol_arg =
   Arg.(
@@ -121,15 +99,6 @@ let protocol_arg =
     & opt (enum (List.map (fun s -> (s, s)) protocol_names)) "f-lambda-2"
     & info [ "protocol"; "p" ] ~docv:"PROTOCOL"
         ~doc:(Printf.sprintf "One of: %s." (String.concat ", " protocol_names)))
-
-let pair_of_name env = function
-  | "never" -> Eba.Kb_protocol.never_decide (Eba.Formula.model env)
-  | "p0" -> Eba.Zoo.p0 env
-  | "p1" -> Eba.Zoo.p1 env
-  | "p0opt" | "f-lambda-2" -> Eba.Zoo.f_lambda_2 env
-  | "chain0" -> Eba.Zoo.chain_zero env
-  | "f-star" -> Eba.Zoo.f_star env
-  | other -> invalid_arg ("unknown protocol " ^ other)
 
 (* --- commands --- *)
 
@@ -147,7 +116,7 @@ let check_cmd =
   let run params name =
     let model = Eba.Model.build params in
     let env = Eba.Formula.env model in
-    let pair = pair_of_name env name in
+    let pair = List.assoc name Eba.Zoo.named env in
     let d = Eba.Kb_protocol.decide model pair in
     let report = Eba.Spec.check d in
     Format.printf "%s on %a@." name Eba.Params.pp params;
@@ -165,7 +134,7 @@ let optimize_cmd =
   let run params name =
     let model = Eba.Model.build params in
     let env = Eba.Formula.env model in
-    let pair = pair_of_name env name in
+    let pair = List.assoc name Eba.Zoo.named env in
     let opt, steps = Eba.Construct.iterate_until_fixpoint env pair in
     let d = Eba.Kb_protocol.decide model pair in
     let dopt = Eba.Kb_protocol.decide model opt in
@@ -189,7 +158,7 @@ let experiments_cmd =
       & opt (some (enum (List.map (fun s -> (s, s)) ids))) None
       & info [ "only" ] ~docv:"ID" ~doc:"Run a single experiment (E1..E12).")
   in
-  let run () () () only =
+  let run () () only =
     match only with
     | Some id ->
         (match Eba_harness.Experiments.run id with
@@ -201,7 +170,7 @@ let experiments_cmd =
   in
   Cmd.v
     (Cmd.info "experiments" ~doc:"Reproduce the paper's propositions (E1..E12) on exhaustive models.")
-    Term.(const run $ jobs_term $ metrics_term $ build_term $ id_arg)
+    Term.(const run $ jobs_term $ metrics_term $ id_arg)
 
 let tables_cmd =
   let which =
@@ -210,7 +179,7 @@ let tables_cmd =
       & opt (some string) None
       & info [ "only" ] ~docv:"TABLE" ~doc:"One of t1..t5, f1..f3; default all.")
   in
-  let run () () () only =
+  let run () () only =
     let fmt = Format.std_formatter in
     let module T = Eba_harness.Tables in
     (match only with
@@ -229,7 +198,7 @@ let tables_cmd =
   in
   Cmd.v
     (Cmd.info "tables" ~doc:"Print the benchmark tables and figure series (EXPERIMENTS.md).")
-    Term.(const run $ jobs_term $ metrics_term $ build_term $ which)
+    Term.(const run $ jobs_term $ metrics_term $ which)
 
 let latency_conv =
   let parse s =

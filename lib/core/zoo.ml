@@ -165,3 +165,14 @@ let knows_zero_structural env =
     Decision_set.of_formulas env (fun i -> Formula.B (n, i, Formula.Empty n_and_z))
   in
   { Kb_protocol.zero; one }
+
+let named =
+  [
+    ("never", fun env -> f_lambda (Formula.model env));
+    ("p0", p0);
+    ("p1", p1);
+    ("p0opt", f_lambda_2);
+    ("f-lambda-2", f_lambda_2);
+    ("chain0", chain_zero);
+    ("f-star", f_star);
+  ]

@@ -68,3 +68,9 @@ val knows_zero_structural : Formula.env -> Kb_protocol.pair
 (** Ablation twin of {!crash_simple} using the structural "my view contains
     a 0" test instead of the semantic [B^N_i ∃0]; the test-suite checks the
     two coincide on crash and omission models. *)
+
+val named : (string * (Formula.env -> Kb_protocol.pair)) list
+(** The protocols the CLI's [check]/[optimize] and the service's
+    [knowledge-query] accept by name, in the order they list them:
+    [never] ([F^Λ]), [p0], [p1], [p0opt] and [f-lambda-2] (both
+    {!f_lambda_2}), [chain0], [f-star]. *)

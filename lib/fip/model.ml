@@ -27,10 +27,6 @@ type t = {
 
 type builder = Naive | Shared
 
-let builder_override : builder Atomic.t = Atomic.make Shared
-let set_builder b = Atomic.set builder_override b
-let current_builder () = Atomic.get builder_override
-
 let s_build = Metrics.span "model.build"
 let s_simulate = Metrics.span "model.build.simulate"
 let s_merge = Metrics.span "model.build.merge"
@@ -416,17 +412,14 @@ let build_shared ?jobs ~flavour (params : Params.t) configs =
   if effective <= 1 then build_shared_seq ~flavour params configs
   else build_shared_sharded ~flavour ?jobs params configs
 
-let build ?(flavour = Universe.Exhaustive) ?configs ?builder ?jobs
+let build ?(flavour = Universe.Exhaustive) ?configs ?(builder = Shared) ?jobs
     (params : Params.t) =
   let configs =
     match configs with Some cs -> cs | None -> Config.all ~n:params.Params.n
   in
-  match Option.value builder ~default:(current_builder ()) with
+  match builder with
   | Shared -> build_shared ?jobs ~flavour params configs
   | Naive -> build_of_configs_patterns params configs (Universe.patterns ~flavour params)
-
-let build_of_patterns params patterns =
-  build_of_configs_patterns params (Config.all ~n:params.Params.n) patterns
 
 let nruns m = Array.length m.runs
 let horizon m = m.params.Params.horizon

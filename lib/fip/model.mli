@@ -14,8 +14,9 @@
     store in the naive allocation order; with several it shards the
     depth-1 subtrees of {!Universe.prefix_forest} across domains and
     renumbers the shard stores into that same order during a merge.
-    Either way the stores, runs and cells are bit-identical to naive, so
-    the choice is purely a performance knob. *)
+    Either way the stores, runs and cells are bit-identical to naive,
+    which survives only as the oracle the shared builder is tested and
+    benchmarked against. *)
 
 module Bitset = Eba_util.Bitset
 module Value = Eba_sim.Value
@@ -48,12 +49,6 @@ type t = private {
 
 type builder = Naive | Shared
 
-val set_builder : builder -> unit
-(** Process-wide default builder for {!build} (initially [Shared]); the
-    [--build] CLI flag calls this. *)
-
-val current_builder : unit -> builder
-
 val build :
   ?flavour:Universe.flavour ->
   ?configs:Config.t list ->
@@ -65,18 +60,13 @@ val build :
     full-information protocol under it.  [configs] defaults to all [2^n]
     configurations — restricting it changes the system runs are drawn from
     and hence what is known; it exists for ablation experiments only.
-    [builder] overrides the {!set_builder} default for this call; either
-    choice produces a bit-identical model.  [jobs] overrides the ambient
+    [builder] defaults to [Shared]; [Naive], the test oracle and benchmark
+    baseline, produces a bit-identical model.  [jobs] overrides the ambient
     {!Eba_util.Parallel.jobs} count for this build only (a per-call
     argument, safe under concurrent builders, unlike the process-global
     {!Eba_util.Parallel.set_jobs}); any positive count yields the same
     bits — it only picks the sequential or sharded shared builder and the
     sharding width. *)
-
-val build_of_patterns : Params.t -> Pattern.t list -> t
-(** As {!build} with an explicit pattern list (all [2^n] configurations).
-    Always uses the naive builder: an arbitrary pattern list has no
-    prefix-forest structure to share. *)
 
 val nruns : t -> int
 val npoints : t -> int

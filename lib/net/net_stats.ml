@@ -1,6 +1,7 @@
 module Value = Eba_sim.Value
 module Runner = Eba_protocols.Runner
 module Json = Eba_util.Json
+module Tally = Eba_protocols.Tally
 
 let hist_buckets = 16
 let ns_of_seconds s = int_of_float ((s *. 1e9) +. 0.5)
@@ -89,106 +90,50 @@ type outcome = {
 }
 
 type state = {
-  mutable s_runs : int;
-  mutable s_agreement : int;
-  mutable s_validity : int;
-  mutable s_undecided : int;
-  mutable s_decided : int;
-  mutable s_round_sum : int;
-  mutable s_round_max : int;
-  mutable s_sim_ns_sum : int;
-  mutable s_sim_ns_max : int;
-  mutable s_attempted : int;
-  mutable s_delivered : int;
-  mutable s_faulty_runs : int;
-  mutable s_round_hist : int array;
-      (* s_round_hist.(r) = nonfaulty decisions at round r; grown on
-         demand, trailing zeros allowed until summarized *)
-  s_wire : wire;
+  tally : Tally.t;
+  mutable sim_ns_sum : int;
+  mutable sim_ns_max : int;
+  mutable attempted : int;
+  mutable delivered : int;
+  mutable faulty_runs : int;
+  wire : wire;
 }
 
 let fresh_state () =
   {
-    s_runs = 0;
-    s_agreement = 0;
-    s_validity = 0;
-    s_undecided = 0;
-    s_decided = 0;
-    s_round_sum = 0;
-    s_round_max = 0;
-    s_sim_ns_sum = 0;
-    s_sim_ns_max = 0;
-    s_attempted = 0;
-    s_delivered = 0;
-    s_faulty_runs = 0;
-    s_round_hist = [||];
-    s_wire = fresh_wire ();
+    tally = Tally.create ();
+    sim_ns_sum = 0;
+    sim_ns_max = 0;
+    attempted = 0;
+    delivered = 0;
+    faulty_runs = 0;
+    wire = fresh_wire ();
   }
 
-let hist_incr st r =
-  let len = Array.length st.s_round_hist in
-  if r >= len then begin
-    let a = Array.make (max (r + 1) (2 * len)) 0 in
-    Array.blit st.s_round_hist 0 a 0 len;
-    st.s_round_hist <- a
-  end;
-  st.s_round_hist.(r) <- st.s_round_hist.(r) + 1
-
 let consume st o =
-  st.s_runs <- st.s_runs + 1;
-  st.s_attempted <- st.s_attempted + o.o_attempted;
-  st.s_delivered <- st.s_delivered + o.o_delivered;
-  if Array.exists Fun.id o.o_faulty then st.s_faulty_runs <- st.s_faulty_runs + 1;
-  wire_merge st.s_wire o.o_wire;
-  let seen = ref None and agreement_bad = ref false and validity_bad = ref false in
-  Array.iteri
-    (fun i faulty ->
-      if not faulty then
-        match o.o_decisions.(i) with
-        | None -> st.s_undecided <- st.s_undecided + 1
-        | Some { Runner.at; value } ->
-            st.s_decided <- st.s_decided + 1;
-            st.s_round_sum <- st.s_round_sum + at;
-            hist_incr st at;
-            if at > st.s_round_max then st.s_round_max <- at;
-            (match o.o_decision_sim_ns.(i) with
-            | Some ns ->
-                st.s_sim_ns_sum <- st.s_sim_ns_sum + ns;
-                if ns > st.s_sim_ns_max then st.s_sim_ns_max <- ns
-            | None -> ());
-            (match !seen with
-            | None -> seen := Some value
-            | Some v -> if not (Value.equal v value) then agreement_bad := true);
-            (match o.o_unanimous with
-            | Some v when not (Value.equal v value) -> validity_bad := true
-            | Some _ | None -> ()))
-    o.o_faulty;
-  if !agreement_bad then st.s_agreement <- st.s_agreement + 1;
-  if !validity_bad then st.s_validity <- st.s_validity + 1
+  st.attempted <- st.attempted + o.o_attempted;
+  st.delivered <- st.delivered + o.o_delivered;
+  if Array.exists Fun.id o.o_faulty then st.faulty_runs <- st.faulty_runs + 1;
+  wire_merge st.wire o.o_wire;
+  let on_decide i =
+    match o.o_decision_sim_ns.(i) with
+    | Some ns ->
+        st.sim_ns_sum <- st.sim_ns_sum + ns;
+        if ns > st.sim_ns_max then st.sim_ns_max <- ns
+    | None -> ()
+  in
+  Tally.record ~on_decide st.tally ~n:(Array.length o.o_faulty)
+    ~faulty:(Array.get o.o_faulty) ~unanimous:o.o_unanimous
+    ~decisions:o.o_decisions
 
 let merge into from =
-  into.s_runs <- into.s_runs + from.s_runs;
-  into.s_agreement <- into.s_agreement + from.s_agreement;
-  into.s_validity <- into.s_validity + from.s_validity;
-  into.s_undecided <- into.s_undecided + from.s_undecided;
-  into.s_decided <- into.s_decided + from.s_decided;
-  into.s_round_sum <- into.s_round_sum + from.s_round_sum;
-  into.s_round_max <- max into.s_round_max from.s_round_max;
-  into.s_sim_ns_sum <- into.s_sim_ns_sum + from.s_sim_ns_sum;
-  into.s_sim_ns_max <- max into.s_sim_ns_max from.s_sim_ns_max;
-  into.s_attempted <- into.s_attempted + from.s_attempted;
-  into.s_delivered <- into.s_delivered + from.s_delivered;
-  into.s_faulty_runs <- into.s_faulty_runs + from.s_faulty_runs;
-  (let flen = Array.length from.s_round_hist in
-   if flen > Array.length into.s_round_hist then begin
-     let a = Array.make flen 0 in
-     Array.blit into.s_round_hist 0 a 0 (Array.length into.s_round_hist);
-     into.s_round_hist <- a
-   end;
-   Array.iteri
-     (fun r v -> into.s_round_hist.(r) <- into.s_round_hist.(r) + v)
-     from.s_round_hist);
-  wire_merge into.s_wire from.s_wire
+  Tally.merge into.tally from.tally;
+  into.sim_ns_sum <- into.sim_ns_sum + from.sim_ns_sum;
+  into.sim_ns_max <- max into.sim_ns_max from.sim_ns_max;
+  into.attempted <- into.attempted + from.attempted;
+  into.delivered <- into.delivered + from.delivered;
+  into.faulty_runs <- into.faulty_runs + from.faulty_runs;
+  wire_merge into.wire from.wire
 
 type summary = {
   ns_protocol : string;
@@ -216,15 +161,7 @@ type summary = {
 }
 
 let summary_of_state ~protocol ~params ~seed ~plan ~topology ~sync st =
-  (* canonical histogram: trimmed to the last nonzero bucket, so the
-     summary is bit-identical whatever growth pattern the merges took *)
-  let hist =
-    let len = ref (Array.length st.s_round_hist) in
-    while !len > 0 && st.s_round_hist.(!len - 1) = 0 do
-      decr len
-    done;
-    Array.sub st.s_round_hist 0 !len
-  in
+  let t = st.tally in
   {
     ns_protocol = protocol;
     ns_params = params;
@@ -232,29 +169,22 @@ let summary_of_state ~protocol ~params ~seed ~plan ~topology ~sync st =
     ns_plan = plan;
     ns_topology = topology;
     ns_sync = sync;
-    ns_runs = st.s_runs;
-    ns_agreement_violations = st.s_agreement;
-    ns_validity_violations = st.s_validity;
-    ns_undecided_nonfaulty = st.s_undecided;
-    ns_decided_nonfaulty = st.s_decided;
-    ns_decision_round_sum = st.s_round_sum;
-    (* empty-mean convention (see {!Eba_protocols.Stats}): 0.0 when no
-       nonfaulty processor decided, so the summary and its JSON stay
-       finite on all-undecided sweeps *)
-    ns_mean_decision_round =
-      (if st.s_decided = 0 then 0.0
-       else float_of_int st.s_round_sum /. float_of_int st.s_decided);
-    ns_max_decision_round = st.s_round_max;
-    ns_decision_ns_sum = st.s_sim_ns_sum;
-    ns_mean_decision_ns =
-      (if st.s_decided = 0 then 0.0
-       else float_of_int st.s_sim_ns_sum /. float_of_int st.s_decided);
-    ns_max_decision_ns = st.s_sim_ns_max;
-    ns_attempted = st.s_attempted;
-    ns_delivered = st.s_delivered;
-    ns_wire = st.s_wire;
-    ns_faulty_runs = st.s_faulty_runs;
-    ns_round_hist = hist;
+    ns_runs = t.runs;
+    ns_agreement_violations = t.agreement;
+    ns_validity_violations = t.validity;
+    ns_undecided_nonfaulty = t.undecided;
+    ns_decided_nonfaulty = t.decided;
+    ns_decision_round_sum = t.round_sum;
+    ns_mean_decision_round = Tally.mean ~sum:t.round_sum ~count:t.decided;
+    ns_max_decision_round = t.round_max;
+    ns_decision_ns_sum = st.sim_ns_sum;
+    ns_mean_decision_ns = Tally.mean ~sum:st.sim_ns_sum ~count:t.decided;
+    ns_max_decision_ns = st.sim_ns_max;
+    ns_attempted = st.attempted;
+    ns_delivered = st.delivered;
+    ns_wire = st.wire;
+    ns_faulty_runs = st.faulty_runs;
+    ns_round_hist = Tally.round_hist t;
   }
 
 let quantile_decision_round s ~permille =
@@ -300,9 +230,9 @@ let pp fmt s =
     w.w_to_dead w.w_data_bytes w.w_ack_bytes w.w_delivered_bytes
     (* one histogram count per data copy put in flight — the drop
        counters also count acks, so they cannot give the denominator *)
-    (let flights = Array.fold_left ( + ) 0 w.w_latency_hist in
-     if flights = 0 then 0.0
-     else float_of_int w.w_latency_ns_sum /. float_of_int flights /. 1e9)
+    (Tally.mean ~sum:w.w_latency_ns_sum
+       ~count:(Array.fold_left ( + ) 0 w.w_latency_hist)
+    /. 1e9)
     (float_of_int w.w_latency_ns_max /. 1e9)
 
 let summary_json s =

@@ -4,10 +4,9 @@
     Every accumulated quantity is an exact integer count, sum or max
     (simulated times are tracked in integer nanoseconds), so merging
     per-domain accumulators reproduces a sequential sweep bit for bit
-    whatever the job count — the same discipline as
-    {!Eba_protocols.Stats}.  Specification checks (agreement, validity,
-    decision) quantify over the processors the run's adversary did {e not}
-    make faulty, exactly as in the lockstep harness. *)
+    whatever the job count.  The specification checks and decision-round
+    statistics are the lockstep harness's own {!Eba_protocols.Tally},
+    over the processors the run's adversary did {e not} make faulty. *)
 
 module Value = Eba_sim.Value
 module Runner = Eba_protocols.Runner
@@ -88,7 +87,7 @@ type summary = {
   ns_decided_nonfaulty : int;
   ns_decision_round_sum : int;  (** exact, for bit-identical comparisons *)
   ns_mean_decision_round : float;
-      (** empty-mean convention: [0.0] when nothing decided, never NaN *)
+      (** {!Eba_protocols.Tally.mean}: [0.0] when nothing decided *)
   ns_max_decision_round : int;
   ns_decision_ns_sum : int;
   ns_mean_decision_ns : float;  (** same convention *)
@@ -98,10 +97,8 @@ type summary = {
   ns_wire : wire;
   ns_faulty_runs : int;  (** runs where the adversary made someone faulty *)
   ns_round_hist : int array;
-      (** decision-round histogram over nonfaulty decided processors:
-          bucket [r] counts decisions whose [at] was round [r], trimmed to
-          the last nonzero bucket ([[||]] when nothing decided).  Exact
-          counts — the source of the latency quantiles. *)
+      (** {!Eba_protocols.Tally.round_hist}: bucket [r] counts nonfaulty
+          decisions at round [r] — the source of the latency quantiles. *)
 }
 
 val summary_of_state :

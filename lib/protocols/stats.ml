@@ -2,7 +2,6 @@ module Params = Eba_sim.Params
 module Config = Eba_sim.Config
 module Pattern = Eba_sim.Pattern
 module Universe = Eba_sim.Universe
-module Value = Eba_sim.Value
 module Bitset = Eba_util.Bitset
 module Metrics = Eba_util.Metrics
 module Parallel = Eba_util.Parallel
@@ -42,156 +41,87 @@ let run_one (module P : Protocol_intf.PROTOCOL) params config pattern =
   let module R = Runner.Make (P) in
   R.run params config pattern
 
-type acc = {
-  mutable a_count : int;
-  mutable a_time_sum : int;
-  mutable a_time_n : int;
-  mutable a_max : int;
-  mutable a_undecided : int;
-}
-
-(* Per-domain accumulator of a sweep.  Every field is an exact integer
-   count/sum/max, so merging accumulators in any fixed order reproduces the
-   sequential totals bit for bit; the float means are derived only at the
-   end, from the merged sums. *)
+(* Per-domain accumulator of a sweep: one spec tally per failure count
+   plus the message and byte totals, all exact integers, so merging
+   accumulators in any fixed order reproduces the sequential totals bit
+   for bit.  The sweep-wide tally is the merge of the per-[f] ones. *)
 type state = {
-  mutable s_runs : int;
-  mutable s_agreement : int;
-  mutable s_validity : int;
-  mutable s_undecided : int;
-  mutable s_time_sum : int;
-  mutable s_time_n : int;
-  mutable s_max_time : int;
-  mutable s_attempted : int;
-  mutable s_delivered : int;
-  mutable s_bytes_attempted : int;
-  mutable s_bytes_delivered : int;
-  s_per_f : (int, acc) Hashtbl.t;
+  per_f : (int, Tally.t) Hashtbl.t;
+  mutable attempted : int;
+  mutable delivered : int;
+  mutable bytes_attempted : int;
+  mutable bytes_delivered : int;
 }
 
 let fresh_state () =
   {
-    s_runs = 0;
-    s_agreement = 0;
-    s_validity = 0;
-    s_undecided = 0;
-    s_time_sum = 0;
-    s_time_n = 0;
-    s_max_time = 0;
-    s_attempted = 0;
-    s_delivered = 0;
-    s_bytes_attempted = 0;
-    s_bytes_delivered = 0;
-    s_per_f = Hashtbl.create 8;
+    per_f = Hashtbl.create 8;
+    attempted = 0;
+    delivered = 0;
+    bytes_attempted = 0;
+    bytes_delivered = 0;
   }
 
-let acc_for st f =
-  match Hashtbl.find_opt st.s_per_f f with
-  | Some a -> a
+let tally_for st f =
+  match Hashtbl.find_opt st.per_f f with
+  | Some t -> t
   | None ->
-      let a = { a_count = 0; a_time_sum = 0; a_time_n = 0; a_max = 0; a_undecided = 0 } in
-      Hashtbl.add st.s_per_f f a;
-      a
+      let t = Tally.create () in
+      Hashtbl.add st.per_f f t;
+      t
 
 let merge_state into from =
-  into.s_runs <- into.s_runs + from.s_runs;
-  into.s_agreement <- into.s_agreement + from.s_agreement;
-  into.s_validity <- into.s_validity + from.s_validity;
-  into.s_undecided <- into.s_undecided + from.s_undecided;
-  into.s_time_sum <- into.s_time_sum + from.s_time_sum;
-  into.s_time_n <- into.s_time_n + from.s_time_n;
-  into.s_max_time <- max into.s_max_time from.s_max_time;
-  into.s_attempted <- into.s_attempted + from.s_attempted;
-  into.s_delivered <- into.s_delivered + from.s_delivered;
-  into.s_bytes_attempted <- into.s_bytes_attempted + from.s_bytes_attempted;
-  into.s_bytes_delivered <- into.s_bytes_delivered + from.s_bytes_delivered;
-  Hashtbl.iter
-    (fun f (b : acc) ->
-      let a = acc_for into f in
-      a.a_count <- a.a_count + b.a_count;
-      a.a_time_sum <- a.a_time_sum + b.a_time_sum;
-      a.a_time_n <- a.a_time_n + b.a_time_n;
-      a.a_max <- max a.a_max b.a_max;
-      a.a_undecided <- a.a_undecided + b.a_undecided)
-    from.s_per_f
+  into.attempted <- into.attempted + from.attempted;
+  into.delivered <- into.delivered + from.delivered;
+  into.bytes_attempted <- into.bytes_attempted + from.bytes_attempted;
+  into.bytes_delivered <- into.bytes_delivered + from.bytes_delivered;
+  Hashtbl.iter (fun f t -> Tally.merge (tally_for into f) t) from.per_f
 
 let consume run n st (config, pattern) =
-  st.s_runs <- st.s_runs + 1;
   let trace : Runner.trace = run config pattern in
-  st.s_attempted <- st.s_attempted + trace.Runner.messages_attempted;
-  st.s_delivered <- st.s_delivered + trace.Runner.messages_delivered;
-  st.s_bytes_attempted <- st.s_bytes_attempted + trace.Runner.bytes_attempted;
-  st.s_bytes_delivered <- st.s_bytes_delivered + trace.Runner.bytes_delivered;
-  (* iterate the nonfaulty slots directly instead of materializing
-     [Bitset.full n], which caps n at the word width; [Bitset.mem] is
-     total, so this path is safe at any n *)
+  st.attempted <- st.attempted + trace.Runner.messages_attempted;
+  st.delivered <- st.delivered + trace.Runner.messages_delivered;
+  st.bytes_attempted <- st.bytes_attempted + trace.Runner.bytes_attempted;
+  st.bytes_delivered <- st.bytes_delivered + trace.Runner.bytes_delivered;
+  (* [Bitset.mem] is total, so testing the nonfaulty slots this way is
+     safe at any n (no [Bitset.full n] capping n at the word width) *)
   let faulty = Pattern.faulty pattern in
-  let iter_nonfaulty f =
-    for i = 0 to n - 1 do
-      if not (Bitset.mem i faulty) then f i
-    done
-  in
-  let f = Pattern.num_failures pattern in
-  let a = acc_for st f in
-  a.a_count <- a.a_count + 1;
-  let seen = ref None and agreement_bad = ref false and validity_bad = ref false in
-  let unanimous = Config.all_equal config in
-  iter_nonfaulty
-    (fun i ->
-      match trace.Runner.decisions.(i) with
-      | None ->
-          st.s_undecided <- st.s_undecided + 1;
-          a.a_undecided <- a.a_undecided + 1
-      | Some { Runner.at; value } ->
-          st.s_time_sum <- st.s_time_sum + at;
-          st.s_time_n <- st.s_time_n + 1;
-          if at > st.s_max_time then st.s_max_time <- at;
-          a.a_time_sum <- a.a_time_sum + at;
-          a.a_time_n <- a.a_time_n + 1;
-          if at > a.a_max then a.a_max <- at;
-          (match !seen with
-          | None -> seen := Some value
-          | Some v -> if not (Value.equal v value) then agreement_bad := true);
-          (match unanimous with
-          | Some v when not (Value.equal v value) -> validity_bad := true
-          | Some _ | None -> ()));
-  if !agreement_bad then st.s_agreement <- st.s_agreement + 1;
-  if !validity_bad then st.s_validity <- st.s_validity + 1
+  Tally.record
+    (tally_for st (Pattern.num_failures pattern))
+    ~n ~faulty:(fun i -> Bitset.mem i faulty) ~unanimous:(Config.all_equal config)
+    ~decisions:trace.Runner.decisions
 
 let summary_of_state ?(source = Enumerated) name st =
-  let by_failures =
-    Hashtbl.fold (fun f a acc -> (f, a) :: acc) st.s_per_f []
+  let per_f =
+    Hashtbl.fold (fun f t acc -> (f, t) :: acc) st.per_f []
     |> List.sort (fun (f1, _) (f2, _) -> Stdlib.compare f1 f2)
-    |> List.map (fun (f, a) ->
-           {
-             failures = f;
-             count = a.a_count;
-             (* empty-mean convention: 0.0 when nothing decided (see mli) *)
-             mean_time =
-               (if a.a_time_n = 0 then 0.0
-                else float_of_int a.a_time_sum /. float_of_int a.a_time_n);
-             max_time = a.a_max;
-             undecided = a.a_undecided;
-           })
   in
+  let total = Tally.create () in
+  List.iter (fun (_, t) -> Tally.merge total t) per_f;
+  let mean (t : Tally.t) = Tally.mean ~sum:t.round_sum ~count:t.decided in
   {
     protocol = name;
-    runs = st.s_runs;
-    agreement_violations = st.s_agreement;
-    validity_violations = st.s_validity;
-    undecided_nonfaulty = st.s_undecided;
-    mean_time =
-      (* all-undecided sweeps have no decision times to average; 0.0 keeps
-         the summary finite and its JSON emission RFC 8259-valid (NaN has
-         no JSON encoding — [Eba_util.Json] would print [null]) *)
-      (if st.s_time_n = 0 then 0.0
-       else float_of_int st.s_time_sum /. float_of_int st.s_time_n);
-    max_time = st.s_max_time;
-    by_failures;
-    messages_attempted = st.s_attempted;
-    messages_delivered = st.s_delivered;
-    bytes_attempted = st.s_bytes_attempted;
-    bytes_delivered = st.s_bytes_delivered;
+    runs = total.runs;
+    agreement_violations = total.agreement;
+    validity_violations = total.validity;
+    undecided_nonfaulty = total.undecided;
+    mean_time = mean total;
+    max_time = total.round_max;
+    by_failures =
+      List.map
+        (fun (f, (t : Tally.t)) ->
+          {
+            failures = f;
+            count = t.runs;
+            mean_time = mean t;
+            max_time = t.round_max;
+            undecided = t.undecided;
+          })
+        per_f;
+    messages_attempted = st.attempted;
+    messages_delivered = st.delivered;
+    bytes_attempted = st.bytes_attempted;
+    bytes_delivered = st.bytes_delivered;
     source;
   }
 
@@ -232,16 +162,21 @@ let exhaustive ?(flavour = Universe.Exhaustive) ?jobs ?cancel p
   in
   over_seq ?jobs ?cancel ~source p params (Universe.workload_seq ~flavour params)
 
+(* A uniform [n]-bit configuration.  [full_int] draws exactly as
+   [Random.State.int] for bounds below 2^30 (n <= 29), so those samples
+   are unchanged; at n = 62, [1 lsl 62] wraps to [min_int], and the 62
+   low bits of a 64-bit draw are the uniform pick. *)
+let random_bits rng n =
+  if n < 62 then Random.State.full_int rng (1 lsl n)
+  else Int64.to_int (Random.State.bits64 rng) land max_int
+
 let sampled ?jobs ?cancel p (params : Params.t) ~seed ~samples =
-  let rng = Random.State.make [| seed |] in
+  let rng = Random.State.make [| seed |] and n = params.Params.n in
   (* drawn sequentially so the workload is deterministic in [seed]; only the
      runs themselves are distributed over domains *)
   let workload =
     List.init samples (fun _ ->
-        let config =
-          Config.of_bits ~n:params.Params.n
-            (Random.State.int rng (1 lsl params.Params.n))
-        in
+        let config = Config.of_bits ~n (random_bits rng n) in
         (config, Universe.random_pattern rng params))
   in
   let source =

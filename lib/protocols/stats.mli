@@ -1,6 +1,6 @@
 (** Workload harness for operational protocols: execute a protocol over a
     set of (configuration, pattern) pairs and aggregate specification
-    checks and decision-time statistics.
+    checks and decision-time statistics (a {!Tally} per failure count).
 
     This is what the benchmark tables are built from: exhaustive universes
     for the small models cross-validated against the semantic layer, and
@@ -14,10 +14,8 @@ type by_failures = {
   failures : int;  (** [f] — processors exhibiting a failure *)
   count : int;  (** runs with this [f] *)
   mean_time : float;
-      (** mean decision time of nonfaulty deciders; {e empty-mean
-          convention}: exactly [0.0] when no nonfaulty processor decided,
-          never NaN — summaries must stay finite so their JSON emission is
-          RFC 8259-valid *)
+      (** mean decision time of nonfaulty deciders ({!Tally.mean}:
+          [0.0] when none decided) *)
   max_time : int;
   undecided : int;  (** nonfaulty processors without a decision *)
 }
@@ -38,7 +36,7 @@ type summary = {
   agreement_violations : int;
   validity_violations : int;
   undecided_nonfaulty : int;
-  mean_time : float;  (** empty-mean convention: [0.0] when nothing decided *)
+  mean_time : float;  (** {!Tally.mean}: [0.0] when nothing decided *)
   max_time : int;
   by_failures : by_failures list;  (** ascending [f] *)
   messages_attempted : int;

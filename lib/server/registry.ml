@@ -43,20 +43,7 @@ let probcheck params =
 
 (* --- knowledge-query --- *)
 
-(* The semantic layer's named protocols, exactly the CLI [check]
-   command's table. *)
-let kb_protocol_names =
-  [ "never"; "p0"; "p1"; "p0opt"; "f-lambda-2"; "chain0"; "f-star" ]
-
-let pair_of_name env = function
-  | "never" ->
-      Eba_core.Kb_protocol.never_decide (Eba_epistemic.Formula.model env)
-  | "p0" -> Eba_core.Zoo.p0 env
-  | "p1" -> Eba_core.Zoo.p1 env
-  | "p0opt" | "f-lambda-2" -> Eba_core.Zoo.f_lambda_2 env
-  | "chain0" -> Eba_core.Zoo.chain_zero env
-  | "f-star" -> Eba_core.Zoo.f_star env
-  | other -> invalid_arg ("unknown protocol " ^ other)
+let kb_protocol_names = List.map fst Eba_core.Zoo.named
 
 let spec_report_json (r : Eba_core.Spec.report) =
   Json.Obj
@@ -129,7 +116,7 @@ let knowledge params =
                   (fun p -> Eba_fip.Model.build ?jobs p)
               in
               let env = Eba_epistemic.Formula.env model in
-              let pair = pair_of_name env name in
+              let pair = List.assoc name Eba_core.Zoo.named env in
               let d = Eba_core.Kb_protocol.decide model pair in
               let report = Eba_core.Spec.check d in
               Json.Obj

@@ -197,6 +197,16 @@ let find_run_tests =
           (M.find_run m ~config ~pattern:(Pat.failure_free params) <> None));
   ]
 
+(* the naive builder is an oracle reachable only through [~builder:Naive] *)
+let cli_tests =
+  [
+    test "eba model --build naive is a usage error" (fun () ->
+        check_int "eba model" 0 (Sys.command "../bin/eba_cli.exe model >/dev/null 2>&1");
+        check_int "eba model --build naive" 124
+          (Sys.command "../bin/eba_cli.exe model --build naive >/dev/null 2>&1"));
+  ]
+
 let suite =
   ( "build",
-    List.concat [ equivalence_tests; forest_tests; cell_tests; find_run_tests ] )
+    List.concat
+      [ equivalence_tests; forest_tests; cell_tests; find_run_tests; cli_tests ] )

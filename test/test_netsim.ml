@@ -4,7 +4,9 @@
    1. Differential equivalence: replaying every exhaustive crash and
       omission pattern (n=3 t=1, loss-free fabric) through the round
       synchronizer produces decisions and per-run message counts identical
-      to the lockstep Runner, for all five operational protocols.
+      to the lockstep Runner, for all five operational protocols — and
+      the two sweep harnesses (Stats, Net_stats) summarize the workload
+      with the same spec verdict and decision rounds.
 
    2. Determinism: a sampled netsim sweep is a pure function of its seed —
       bit-identical across --jobs values and across repeated runs — which
@@ -122,10 +124,12 @@ let replay_disagreements (module P : Eba.Protocol_intf.PROTOCOL) params =
   let module R = Runner.Make (P) in
   let module S = Net.Netsim.Make (P) in
   let bad = ref [] in
+  let net_st = Net.Net_stats.fresh_state () in
   Seq.iter
     (fun (config, pattern) ->
       let lock = R.run params config pattern in
       let net = S.replay params pattern config in
+      Net.Net_stats.consume net_st net;
       let show = function
         | None -> "undecided"
         | Some { Runner.at; value } -> Format.asprintf "%a@%d" Val.pp value at
@@ -156,6 +160,30 @@ let replay_disagreements (module P : Eba.Protocol_intf.PROTOCOL) params =
             net.Net.Net_stats.o_attempted
           :: !bad)
     (Eba.Universe.workload_seq params);
+  (* the same workload through both sweep harnesses: the lockstep traces
+     through [Stats], the replays through [Net_stats] *)
+  let lock =
+    Eba.Stats.over_seq ~jobs:1 (module P) params (Eba.Universe.workload_seq params)
+  in
+  let net =
+    Net.Net_stats.summary_of_state ~protocol:P.name ~params:"-" ~seed:0 ~plan:"replay"
+      ~topology:"-" ~sync:"-" net_st
+  in
+  let field name a b =
+    if a <> b then
+      bad := Printf.sprintf "harness %s: Stats %s vs Net_stats %s" name a b :: !bad
+  in
+  let int name a b = field name (string_of_int a) (string_of_int b) in
+  int "runs" lock.Eba.Stats.runs net.Net.Net_stats.ns_runs;
+  int "agreement violations" lock.Eba.Stats.agreement_violations
+    net.Net.Net_stats.ns_agreement_violations;
+  int "validity violations" lock.Eba.Stats.validity_violations
+    net.Net.Net_stats.ns_validity_violations;
+  int "undecided" lock.Eba.Stats.undecided_nonfaulty
+    net.Net.Net_stats.ns_undecided_nonfaulty;
+  int "max decision round" lock.Eba.Stats.max_time net.Net.Net_stats.ns_max_decision_round;
+  field "mean decision round" (Printf.sprintf "%h" lock.Eba.Stats.mean_time)
+    (Printf.sprintf "%h" net.Net.Net_stats.ns_mean_decision_round);
   !bad
 
 let replay_agrees name p params () =

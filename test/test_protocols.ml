@@ -161,6 +161,32 @@ let sampled_tests =
         check "agreement" true (s.Stats.agreement_violations = 0);
         check "validity" true (s.Stats.validity_violations = 0);
         check "decision" true (s.Stats.undecided_nonfaulty = 0));
+    test "sampled draws configurations past 2^30 (n = 30 and n = 62)" (fun () ->
+        List.iter
+          (fun n ->
+            let params = Params.make ~n ~t:1 ~horizon:2 ~mode:Params.Crash in
+            let s = Stats.sampled (module Eba.P0.P0) params ~seed:5 ~samples:20 in
+            check_int "runs" 20 s.Stats.runs;
+            check "agreement" true (s.Stats.agreement_violations = 0);
+            check "decision" true (s.Stats.undecided_nonfaulty = 0))
+          [ 30; 62 ]);
+    test "sampled draws for n <= 29 are Random.State.int's" (fun () ->
+        (* the reference draw: [Random.State.int] for the configuration
+           bits, then the pattern *)
+        List.iter
+          (fun n ->
+            let params = Params.make ~n ~t:2 ~horizon:3 ~mode:Params.Crash in
+            let rng = Random.State.make [| 9 |] in
+            let workload =
+              List.init 30 (fun _ ->
+                  let config = Cfg.of_bits ~n (Random.State.int rng (1 lsl n)) in
+                  (config, Eba.Universe.random_pattern rng params))
+            in
+            let a = Stats.sampled (module Eba.P0opt) params ~seed:9 ~samples:30 in
+            let b = Stats.over (module Eba.P0opt) params workload in
+            check (Printf.sprintf "n=%d" n) true
+              ({ a with Stats.source = Stats.Enumerated } = b))
+          [ 3; 6; 17; 29 ]);
     test "P0 message complexity beats P0opt's" (fun () ->
         (* P0 sends only relays of 0; P0opt floods value vectors *)
         let params = Params.make ~n:6 ~t:2 ~horizon:4 ~mode:Params.Crash in

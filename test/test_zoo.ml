@@ -294,7 +294,22 @@ let f_star_tests =
         check "chain0 itself optimal at t=1" true (Ch.is_optimal e dchain));
   ]
 
+let named_tests =
+  [
+    test "the named protocol table: names, order and aliases" (fun () ->
+        Alcotest.(check (list string))
+          "names"
+          [ "never"; "p0"; "p1"; "p0opt"; "f-lambda-2"; "chain0"; "f-star" ]
+          (List.map fst Zoo.named);
+        let e = env crash_3_1_3 in
+        let pair name = List.assoc name Zoo.named e in
+        check "never = F^Λ" true (KB.pair_equal (pair "never") (Zoo.f_lambda (model crash_3_1_3)));
+        check "p0opt = f-lambda-2" true (KB.pair_equal (pair "p0opt") (Zoo.f_lambda_2 e));
+        check "f-lambda-2" true (KB.pair_equal (pair "f-lambda-2") (Zoo.f_lambda_2 e));
+        check "p0" true (KB.pair_equal (pair "p0") (Zoo.p0 e)));
+  ]
+
 let suite =
   ( "zoo",
     no_optimum_tests @ crash_story_tests @ omission_nontermination_tests @ chain_tests
-    @ f_star_tests )
+    @ f_star_tests @ named_tests )
