@@ -1,11 +1,14 @@
-(* Golden reproduction pin: E1..E12 at Small scale, verdict lines diffed
-   against the committed test/golden/experiments.expected.  A behaviour
+(* Golden reproduction pins.  E1..E12 at Small scale, verdict lines diffed
+   against the committed test/golden/experiments.expected; and the served
+   knowledge-query spec replies for every named protocol over the twelve
+   knowledge-cold universes (test/golden/knowledge_spec.expected).  A behaviour
    change anywhere in the stack — enumeration, epistemic kernels, the
    optimizer, the protocol zoo — that flips a paper claim (or silently
    changes which claims are even checked) shows up as a one-line diff
    here.  Regenerate with:
 
-     dune exec test/regen_golden.exe > test/golden/experiments.expected *)
+     dune exec test/regen_golden.exe > test/golden/experiments.expected
+     dune exec test/regen_golden.exe -- knowledge-spec > test/golden/knowledge_spec.expected *)
 
 open Helpers
 
@@ -23,6 +26,11 @@ let actual () =
 
 let tests =
   [
+    slow "served knowledge-query spec replies match the committed golden file"
+      (fun () ->
+        Alcotest.(check string) "knowledge_spec.expected"
+          (read_file "golden/knowledge_spec.expected")
+          (Eba_harness.Knowledge_cases.spec_replies ()));
     slow "E1..E12 verdicts match the committed golden file" (fun () ->
         let expected = read_file expected_path in
         Alcotest.(check string) "experiments.expected" expected (actual ()));
