@@ -31,7 +31,14 @@ let ctx env (d : Kb_protocol.decisions) =
     e1;
     c_zero = Formula.Cbox (n_and_o, e0);
     c_one = Formula.Cbox (n_and_z, e1);
-    dec = (fun y i -> Kb_protocol.decided_atom env d y i);
+    dec =
+      (* each decide_i(y) atom is built on first use and then shared *)
+      (let atoms =
+         Array.init 2 (fun y ->
+             Array.init (Model.n model) (fun i ->
+                 lazy (Kb_protocol.decided_atom env d (Value.of_int y) i)))
+       in
+       fun y i -> Lazy.force atoms.(Value.to_int y).(i));
   }
 
 let check_per_proc env nprocs mk =

@@ -16,28 +16,36 @@ let of_views model pred =
 let of_formulas env f =
   let model = Formula.model env in
   let store = model.Model.store in
+  let off = model.Model.cell_off and ids = model.Model.cell_ids in
   let t = empty model in
-  let n = Model.n model in
-  let sets = Array.init n (fun i -> Formula.eval env (f i)) in
+  let sets = Array.init (Model.n model) (fun i -> Formula.eval env (f i)) in
   for v = 0 to nviews model - 1 do
-    let i = View.owner store v in
-    if Model.cell_length model v > 0 then begin
-      let first = ref (-1) in
-      Model.cell_iter model v (fun q ->
-          let inside = if Pset.mem sets.(i) q then 1 else 0 in
-          if !first < 0 then first := inside
-          else if inside <> !first then
-            invalid_arg "Decision_set.of_formulas: formula not view-measurable");
-      if !first = 1 then Bytes.set t v '\001'
-    end
+    let set = sets.(View.owner store v) in
+    (* every cell is nonempty: the view's own point is a member *)
+    let inside = Pset.mem set ids.(off.(v)) in
+    for k = off.(v) + 1 to off.(v + 1) - 1 do
+      if Pset.mem set ids.(k) <> inside then
+        invalid_arg "Decision_set.of_formulas: formula not view-measurable"
+    done;
+    if inside then Bytes.set t v '\001'
   done;
   t
 
 let of_formula env f = of_formulas env (fun _ -> f)
 
+(* The cells of [proc]'s member views, scattered: they partition the
+   points at which [proc]'s view is in the set. *)
 let points model t ~proc =
-  Pset.init (Model.npoints model) (fun pid ->
-      mem t (Model.view_at model ~point:pid ~proc))
+  let store = model.Model.store in
+  let off = model.Model.cell_off and ids = model.Model.cell_ids in
+  let out = Pset.create (Model.npoints model) in
+  for v = 0 to nviews model - 1 do
+    if mem t v && View.owner store v = proc then
+      for k = off.(v) to off.(v + 1) - 1 do
+        Pset.add out ids.(k)
+      done
+  done;
+  out
 
 let lift2 op a b = Bytes.init (Bytes.length a) (fun v ->
     if op (Bytes.get a v = '\001') (Bytes.get b v = '\001') then '\001' else '\000')

@@ -92,12 +92,18 @@ let chain_table env =
 
 let chain_at env ~run ~time = (chain_table env).(run).(time)
 
+(* ∃0* holds from the first time a chain exists to the end of the run. *)
 let exists0_star env =
   let model = Formula.model env in
   let table = chain_table env in
-  Formula.atom model "exists0*" (fun pid ->
-      let run = Model.run_index_of_point model pid in
-      let time = Model.time_of_point model pid in
-      let chain = table.(run) in
-      let rec any m = m >= 0 && (chain.(m) || any (m - 1)) in
-      any time)
+  let horizon = Model.horizon model in
+  let set = Pset.create (Model.npoints model) in
+  Array.iteri
+    (fun run chain ->
+      let rec first m = if m > horizon || chain.(m) then m else first (m + 1) in
+      let m = first 0 in
+      if m <= horizon then
+        Pset.add_range set (Model.point model ~run ~time:m)
+          (Model.point model ~run ~time:horizon + 1))
+    table;
+  Formula.Atom ("exists0*", set)

@@ -2,6 +2,7 @@ module Model = Eba_fip.Model
 module Value = Eba_sim.Value
 module Formula = Eba_epistemic.Formula
 module Nonrigid = Eba_epistemic.Nonrigid
+module Pset = Eba_epistemic.Pset
 module Bitset = Eba_util.Bitset
 
 type pair = { zero : Decision_set.t; one : Decision_set.t }
@@ -26,33 +27,37 @@ let decide model pair =
   let ambiguities = ref [] in
   for run = 0 to Model.nruns model - 1 do
     for i = 0 to n - 1 do
-      let rec first time =
-        if time > horizon then ()
-        else
-          let v = Model.view model ~run ~time ~proc:i in
-          let in_zero = Decision_set.mem pair.zero v
-          and in_one = Decision_set.mem pair.one v in
-          if in_zero && in_one then ambiguities := (run, i, time) :: !ambiguities
-          else if in_zero then table.((run * n) + i) <- Some { at = time; value = Value.Zero }
-          else if in_one then table.((run * n) + i) <- Some { at = time; value = Value.One }
-          else first (time + 1)
-      in
-      first 0
+      (* first entry into Z_i ∪ O_i *)
+      let time = ref 0 in
+      while !time <= horizon do
+        let v = Model.view model ~run ~time:!time ~proc:i in
+        let in_zero = Decision_set.mem pair.zero v
+        and in_one = Decision_set.mem pair.one v in
+        if in_zero && in_one then ambiguities := (run, i, !time) :: !ambiguities
+        else if in_zero then table.((run * n) + i) <- Some { at = !time; value = Value.Zero }
+        else if in_one then table.((run * n) + i) <- Some { at = !time; value = Value.One };
+        time := if in_zero || in_one then horizon + 1 else !time + 1
+      done
     done
   done;
   { model; pair; table; ambiguities = List.rev !ambiguities }
 
 let outcome d ~run ~proc = d.table.((run * Model.n d.model) + proc)
 
+(* Decisions are irreversible, so [decide_i(y)] holds on a suffix of each
+   run: from the decision time to the horizon. *)
 let decided_atom env d y i =
   let model = Formula.model env in
   let name = Format.asprintf "decide_%d(%a)" i Value.pp y in
-  Formula.atom model name (fun pid ->
-      let run = Model.run_index_of_point model pid in
-      let time = Model.time_of_point model pid in
-      match outcome d ~run ~proc:i with
-      | Some { at; value } -> Value.equal value y && at <= time
-      | None -> false)
+  let set = Pset.create (Model.npoints model) in
+  for run = 0 to Model.nruns model - 1 do
+    match outcome d ~run ~proc:i with
+    | Some { at; value } when Value.equal value y ->
+        Pset.add_range set (Model.point model ~run ~time:at)
+          (Model.point model ~run ~time:(Model.horizon model) + 1)
+    | Some _ | None -> ()
+  done;
+  Formula.Atom (name, set)
 
 let member_atom env pair y i =
   let model = Formula.model env in
@@ -60,8 +65,7 @@ let member_atom env pair y i =
     match y with Value.Zero -> pair.zero | Value.One -> pair.one
   in
   let name = Format.asprintf "in_%d(%a)" i Value.pp y in
-  Formula.atom model name (fun pid ->
-      Decision_set.mem set (Model.view_at model ~point:pid ~proc:i))
+  Formula.Atom (name, Decision_set.points model set ~proc:i)
 
 let conjoin env s name a =
   let model = Formula.model env in

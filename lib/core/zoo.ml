@@ -44,22 +44,30 @@ let p0 env =
   let eager, late = deadline_pair env ~decide_now:(View.knows_zero store) ~deadline_value:Value.one in
   { Kb_protocol.zero = eager; one = late }
 
-let knows_one_everywhere store v =
-  (* structural mirror of knows_zero: the view contains an initial 1 *)
+(* The structural mirror of [View.knows_zero]: does the view contain an
+   initial 1 anywhere?  Memoized over the store (views share sub-views,
+   so the unmemoized walk would revisit them exponentially often). *)
+let knows_one_everywhere store =
+  let memo = Bytes.make (View.size store) '?' in
   let rec scan v =
-    Value.equal (View.init_value store v) Value.One
-    || (match View.prev store v with Some p -> scan p | None -> false)
-    || begin
-         let n = View.n store in
-         let rec any j =
-           j < n
-           && ((match View.received store v j with Some r -> scan r | None -> false)
-              || any (j + 1))
-         in
-         any 0
-       end
+    match Bytes.get memo v with
+    | 'y' -> true
+    | 'n' -> false
+    | _ ->
+        let rec any j =
+          j < View.n store
+          && ((match View.received store v j with Some r -> scan r | None -> false)
+             || any (j + 1))
+        in
+        let found =
+          Value.equal (View.init_value store v) Value.One
+          || (match View.prev store v with Some p -> scan p | None -> false)
+          || any 0
+        in
+        Bytes.set memo v (if found then 'y' else 'n');
+        found
   in
-  scan v
+  scan
 
 let p1 env =
   let model = Formula.model env in
@@ -77,10 +85,8 @@ let chain_zero env =
   (* The paper writes O⁰_i = B^N_i ¬∃0*; since ¬∃0* trivially holds at time
      0, the intended (and correct) reading — the one Prop 6.4's proof
      actually establishes — is belief that no 0-chain will ever exist. *)
-  let one =
-    Decision_set.of_formulas env (fun i ->
-        Formula.B (n, i, Formula.Always (Formula.Not e0star)))
-  in
+  let never_chain = Formula.Always (Formula.Not e0star) in
+  let one = Decision_set.of_formulas env (fun i -> Formula.B (n, i, never_chain)) in
   { Kb_protocol.zero; one }
 
 let f_star env = Construct.optimize ~first:Construct.One_first env (chain_zero env)
@@ -116,11 +122,9 @@ let sba_common_knowledge env =
   let e0 = Formula.exists_value model Value.zero in
   let n_and_kz = Kb_protocol.conjoin env n "N&kz" (knows_zero_set env) in
   let never_zero_witness = Formula.Throughout (Formula.Empty n_and_kz) in
-  let zero = Decision_set.of_formulas env (fun i -> Formula.B (n, i, Formula.C (n, e0))) in
-  let one =
-    Decision_set.of_formulas env (fun i ->
-        Formula.B (n, i, Formula.C (n, never_zero_witness)))
-  in
+  let c0 = Formula.C (n, e0) and c1 = Formula.C (n, never_zero_witness) in
+  let zero = Decision_set.of_formulas env (fun i -> Formula.B (n, i, c0)) in
+  let one = Decision_set.of_formulas env (fun i -> Formula.B (n, i, c1)) in
   { Kb_protocol.zero; one }
 
 let sba_fixed_time env =
@@ -147,12 +151,9 @@ let f_zero env =
   let e0 = Formula.exists_value model Value.zero in
   let e1 = Formula.exists_value model Value.one in
   let c0 = Formula.Cdia (n, e0) in
+  let c1 = Formula.And [ Formula.Cdia (n, e1); Formula.Always (Formula.Not c0) ] in
   let zero = Decision_set.of_formulas env (fun i -> Formula.B (n, i, c0)) in
-  let one =
-    Decision_set.of_formulas env (fun i ->
-        Formula.B
-          (n, i, Formula.And [ Formula.Cdia (n, e1); Formula.Always (Formula.Not c0) ]))
-  in
+  let one = Decision_set.of_formulas env (fun i -> Formula.B (n, i, c1)) in
   { Kb_protocol.zero; one }
 
 let knows_zero_structural env =

@@ -38,26 +38,28 @@ type closure = {
 let closure model s =
   Metrics.time s_closure @@ fun () ->
   let store = model.Model.store in
-  let nv = View.size store in
+  let off = model.Model.cell_off and ids = model.Model.cell_ids in
   let uf = Uf.create (Model.nruns model) in
   let landable = Pset.create (Model.npoints model) in
   let participates = Pset.create (Model.nruns model) in
   let unions = ref 0 in
-  for v = 0 to nv - 1 do
-    let i = View.owner store v in
+  for v = 0 to View.size store - 1 do
+    let inside = Nonrigid.points s ~proc:(View.owner store v) in
     (* the lander group of [v]: points of the cell at which the owner is in S *)
     let first = ref (-1) in
-    Model.cell_iter model v (fun q ->
-        if Nonrigid.mem s ~point:q ~proc:i then begin
-          Pset.add landable q;
-          let run = Model.run_index_of_point model q in
-          Pset.add participates run;
-          if !first < 0 then first := run
-          else begin
-            incr unions;
-            Uf.union uf !first run
-          end
-        end)
+    for k = off.(v) to off.(v + 1) - 1 do
+      let q = ids.(k) in
+      if Pset.mem inside q then begin
+        Pset.add landable q;
+        let run = Model.run_index_of_point model q in
+        Pset.add participates run;
+        if !first < 0 then first := run
+        else begin
+          incr unions;
+          Uf.union uf !first run
+        end
+      end
+    done
   done;
   Metrics.add m_unions !unions;
   if Metrics.enabled () then Metrics.add m_landable (Pset.cardinal landable);
@@ -67,17 +69,19 @@ let cbox cl phi =
   Metrics.time s_cbox @@ fun () ->
   let model = cl.model in
   let nruns = Model.nruns model in
+  let len = Model.horizon model + 1 in
   (* a component root is bad if some landable point of the component
      refutes φ *)
   let bad = Array.make nruns false in
   Pset.iter cl.landable (fun q ->
-      if not (Pset.mem phi q) then
-        bad.(Uf.find cl.uf (Model.run_index_of_point model q)) <- true);
-  let run_ok =
-    Array.init nruns (fun r ->
-        (not (Pset.mem cl.participates r)) || not bad.(Uf.find cl.uf r))
-  in
-  Pset.init (Model.npoints model) (fun pid -> run_ok.(Model.run_index_of_point model pid))
+      if not (Pset.mem phi q) then bad.(Uf.find cl.uf (Model.run_index_of_point model q)) <- true);
+  (* the result is constant along each run (Lemma 3.4(g)) *)
+  let out = Pset.create (Model.npoints model) in
+  for r = 0 to nruns - 1 do
+    if (not (Pset.mem cl.participates r)) || not bad.(Uf.find cl.uf r) then
+      Pset.add_range out (r * len) ((r + 1) * len)
+  done;
+  out
 
 let cbox_naive model s phi =
   let x = ref (Pset.full (Model.npoints model)) in

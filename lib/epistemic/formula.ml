@@ -1,6 +1,7 @@
 module Model = Eba_fip.Model
 module Value = Eba_sim.Value
 module Config = Eba_sim.Config
+module Metrics = Eba_util.Metrics
 
 type t =
   | Const of bool
@@ -25,21 +26,41 @@ type t =
 
 let atom model name pred = Atom (name, Pset.init (Model.npoints model) pred)
 
+(* ∃v is a property of the run's initial configuration: whole runs in. *)
 let exists_value model v =
   let name = Format.asprintf "exists%a" Value.pp v in
-  atom model name (fun pid ->
-      Config.exists_value (Model.run_of_point model pid).Model.config v)
+  let s = Pset.create (Model.npoints model) in
+  let len = Model.horizon model + 1 in
+  for run = 0 to Model.nruns model - 1 do
+    let config = (Model.run_of_point model (run * len)).Model.config in
+    if Config.exists_value config v then Pset.add_range s (run * len) ((run + 1) * len)
+  done;
+  Atom (name, s)
 
 let ( &&& ) a b = And [ a; b ]
 let ( ||| ) a b = Or [ a; b ]
 let neg a = Not a
 
+let m_evals = Metrics.counter "formula.evals"
+let m_hits = Metrics.counter "formula.memo_hits"
+
+(* Keyed on physical identity: a subformula value shared by several
+   formulas is evaluated once per env.  The structural hash only picks the
+   bucket; it is bounded, so hashing a deep formula costs a few words. *)
+module Memo = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
 type env = {
   env_model : Model.t;
   mutable closures : (Nonrigid.t * Continual.closure) list;
+  memo : Pset.t Memo.t;
 }
 
-let env model = { env_model = model; closures = [] }
+let env model = { env_model = model; closures = []; memo = Memo.create 64 }
 let model e = e.env_model
 
 let closure_for e s =
@@ -57,6 +78,7 @@ let rec eval e f =
   | Const true -> Pset.full np
   | Const false -> Pset.create np
   | Atom (_, s) -> s
+  | In (s, i) -> Nonrigid.points s ~proc:i
   | Not f -> Pset.complement (eval e f)
   | And fs ->
       List.fold_left (fun acc f -> Pset.inter acc (eval e f)) (Pset.full np) fs
@@ -66,18 +88,30 @@ let rec eval e f =
   | Iff (a, b) ->
       let sa = eval e a and sb = eval e b in
       Pset.complement (Pset.union (Pset.diff sa sb) (Pset.diff sb sa))
-  | In (s, i) -> Pset.init np (fun pid -> Nonrigid.mem s ~point:pid ~proc:i)
-  | K (i, f) -> Knowledge.knows m ~proc:i (eval e f)
-  | B (s, i, f) -> Knowledge.believes m s ~proc:i (eval e f)
-  | E (s, f) -> Knowledge.everyone_knows m s (eval e f)
-  | C (s, f) -> Common.common m s (eval e f)
-  | Ebox (s, f) -> Continual.ebox m s (eval e f)
-  | Cbox (s, f) -> Continual.cbox (closure_for e s) (eval e f)
-  | Cdia (s, f) -> Eventual.eventual_common m s (eval e f)
-  | Empty s -> Pset.init np (fun pid -> Nonrigid.is_empty_at s ~point:pid)
-  | Always f -> Temporal.always m (eval e f)
-  | Eventually f -> Temporal.eventually m (eval e f)
-  | Throughout f -> Temporal.throughout m (eval e f)
+  | K (i, g) -> memo e f (fun () -> Knowledge.knows m ~proc:i (eval e g))
+  | B (s, i, g) -> memo e f (fun () -> Knowledge.believes m s ~proc:i (eval e g))
+  | E (s, g) -> memo e f (fun () -> Knowledge.everyone_knows m s (eval e g))
+  | C (s, g) -> memo e f (fun () -> Common.common m s (eval e g))
+  | Ebox (s, g) -> memo e f (fun () -> Continual.ebox m s (eval e g))
+  | Cbox (s, g) -> memo e f (fun () -> Continual.cbox (closure_for e s) (eval e g))
+  | Cdia (s, g) -> memo e f (fun () -> Eventual.eventual_common m s (eval e g))
+  | Empty s -> memo e f (fun () -> Nonrigid.empty_points m s)
+  | Always g -> memo e f (fun () -> Temporal.always m (eval e g))
+  | Eventually g -> memo e f (fun () -> Temporal.eventually m (eval e g))
+  | Throughout g -> memo e f (fun () -> Temporal.throughout m (eval e g))
+
+(* The modal and temporal operators go through the memo; the Boolean
+   connectives are a few word operations, cheaper than a lookup. *)
+and memo e f compute =
+  match Memo.find_opt e.memo f with
+  | Some s ->
+      Metrics.incr m_hits;
+      s
+  | None ->
+      Metrics.incr m_evals;
+      let s = compute () in
+      Memo.add e.memo f s;
+      s
 
 let holds e f ~point = Pset.mem (eval e f) point
 let valid e f = Pset.is_full (eval e f)

@@ -1,6 +1,5 @@
 module Model = Eba_fip.Model
 module View = Eba_fip.View
-module Bitset = Eba_util.Bitset
 module Metrics = Eba_util.Metrics
 module Parallel = Eba_util.Parallel
 
@@ -8,70 +7,61 @@ let s_kernel = Metrics.span "knowledge.known_per_view"
 let m_views = Metrics.counter "knowledge.views_scanned"
 let m_probes = Metrics.counter "knowledge.cell_points_probed"
 
-(* [known_per_view model s phi] computes, for every view [v] with owner [i],
-   whether φ holds at every point of [cell v] where [i ∈ S]; this is the
-   kernel shared by [K], [B] and [E].  The model is immutable after
-   [Model.build] and each iteration writes only its own byte, so the
-   per-view loop parallelizes over domains; cells are read straight out of
-   the model's CSR arrays, so the inner loop allocates nothing.  [m_probes]
-   counts whole cells even when the scan exits early (and is batched per
-   chunk rather than bumped per view), keeping its total a function of the
-   model alone — identical across job counts and short-circuit luck. *)
-let known_per_view model s phi =
+(* [known_per_view model ~proc phi] is [K_proc φ], the kernel behind [K],
+   [B] and [E].  It scans only the views [proc] owns: for each, whether φ
+   holds at every point of its cell.  The cells of [proc]'s views partition
+   the points, so the result is the union of the cells of the known views,
+   scattered straight out of the model's CSR arrays with no view lookup
+   per point.  The model is immutable after [Model.build] and each scan
+   iteration writes only its own byte, so the scan parallelizes over
+   domains.  [m_probes] counts whole cells even when a scan exits early
+   (and both counters are batched per chunk rather than bumped per view),
+   keeping the totals functions of the model alone — identical across job
+   counts and short-circuit luck. *)
+let known_per_view model ~proc phi =
   Metrics.time s_kernel @@ fun () ->
   let store = model.Model.store in
   let nv = View.size store in
-  Metrics.add m_views nv;
   let off = model.Model.cell_off and ids = model.Model.cell_ids in
-  let known = Bytes.make nv '\001' in
+  let known = Bytes.make nv '\000' in
   Parallel.parallel_ranges nv (fun lo hi ->
-      if Metrics.enabled () then Metrics.add m_probes (off.(hi) - off.(lo));
+      let views = ref 0 and probes = ref 0 in
       for v = lo to hi - 1 do
-        let i = View.owner store v in
-        let e = off.(v + 1) in
-        let ok = ref true in
-        let k = ref off.(v) in
-        while !ok && !k < e do
-          let q = ids.(!k) in
-          ok :=
-            (match s with
-            | Some s -> not (Nonrigid.mem s ~point:q ~proc:i)
-            | None -> false)
-            || Pset.mem phi q;
-          incr k
-        done;
-        if not !ok then Bytes.set known v '\000'
-      done);
-  known
-
-let knows model ~proc phi =
-  let known = known_per_view model None phi in
-  Pset.init (Model.npoints model) (fun pid ->
-      Bytes.get known (Model.view_at model ~point:pid ~proc) = '\001')
-
-let believes model s ~proc phi =
-  let known = known_per_view model (Some s) phi in
-  Pset.init (Model.npoints model) (fun pid ->
-      Bytes.get known (Model.view_at model ~point:pid ~proc) = '\001')
-
-let everyone_knows model s phi =
-  let known = known_per_view model (Some s) phi in
-  Pset.init (Model.npoints model) (fun pid ->
-      Bitset.for_all
-        (fun i -> Bytes.get known (Model.view_at model ~point:pid ~proc:i) = '\001')
-        (Nonrigid.members s ~point:pid))
-
-let view_measurable model ~proc phi =
-  let store = model.Model.store in
-  let nv = View.size store in
-  let status = Array.make nv 0 in
-  (* 0 = unseen, 1 = in phi, 2 = out of phi *)
-  let ok = ref true in
-  Model.iter_points model (fun pid ->
-      let v = Model.view_at model ~point:pid ~proc in
-      if View.owner store v = proc then begin
-        let s = if Pset.mem phi pid then 1 else 2 in
-        if status.(v) = 0 then status.(v) <- s
-        else if status.(v) <> s then ok := false
+        if View.owner store v = proc then begin
+          let e = off.(v + 1) in
+          incr views;
+          probes := !probes + (e - off.(v));
+          let k = ref off.(v) in
+          while !k < e && Pset.mem phi ids.(!k) do
+            incr k
+          done;
+          if !k = e then Bytes.set known v '\001'
+        end
+      done;
+      if Metrics.enabled () then begin
+        Metrics.add m_views !views;
+        Metrics.add m_probes !probes
       end);
-  !ok
+  let out = Pset.create (Model.npoints model) in
+  for v = 0 to nv - 1 do
+    if Bytes.get known v = '\001' then
+      for k = off.(v) to off.(v + 1) - 1 do
+        Pset.add out ids.(k)
+      done
+  done;
+  out
+
+let knows model ~proc phi = known_per_view model ~proc phi
+
+(* B^S_i φ = K_i(i ∈ S ⇒ φ), and i ∈ S ⇒ φ is the complement of S_i \ φ. *)
+let believes model s ~proc phi =
+  known_per_view model ~proc (Pset.complement (Pset.diff (Nonrigid.points s ~proc) phi))
+
+(* E_S φ holds where every member believes φ: ∩_i (i ∉ S ∪ B^S_i φ). *)
+let everyone_knows model s phi =
+  let acc = Pset.full (Model.npoints model) in
+  for i = 0 to Model.n model - 1 do
+    let si = Nonrigid.points s ~proc:i in
+    Pset.inter_ip acc (Pset.union (Pset.complement si) (believes model s ~proc:i phi))
+  done;
+  acc

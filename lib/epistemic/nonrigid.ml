@@ -2,36 +2,55 @@ module Bitset = Eba_util.Bitset
 module Model = Eba_fip.Model
 module View = Eba_fip.View
 
-type t = { nr_name : string; table : int array }
+(* [sets.(i)] is the set of points at which processor [i] is a member. *)
+type t = { nr_name : string; sets : Pset.t array }
 
 let name s = s.nr_name
-let members s ~point = Bitset.of_int s.table.(point)
-let mem s ~point ~proc = Bitset.mem proc (members s ~point)
+let points s ~proc = s.sets.(proc)
+let mem s ~point ~proc = Pset.mem s.sets.(proc) point
+let fresh model = Array.init (Model.n model) (fun _ -> Pset.create (Model.npoints model))
 
-let of_fun model ~name f =
-  { nr_name = name; table = Array.init (Model.npoints model) (fun pid -> Bitset.to_int (f pid)) }
-
+(* Membership of 𝒩 is constant along a run, so each run contributes one
+   contiguous range of point ids per nonfaulty processor. *)
 let nonfaulty model =
-  of_fun model ~name:"N" (fun pid ->
-      Model.nonfaulty model ~run:(Model.run_index_of_point model pid))
+  let sets = fresh model in
+  let len = Model.horizon model + 1 in
+  for run = 0 to Model.nruns model - 1 do
+    let nf = Model.nonfaulty model ~run in
+    for i = 0 to Model.n model - 1 do
+      if Bitset.mem i nf then Pset.add_range sets.(i) (run * len) ((run + 1) * len)
+    done
+  done;
+  { nr_name = "N"; sets }
 
-let rigid model ~name set = of_fun model ~name (fun _ -> set)
+let rigid model ~name set =
+  let np = Model.npoints model in
+  { nr_name = name;
+    sets = Array.init (Model.n model) (fun i ->
+        if Bitset.mem i set then Pset.full np else Pset.create np) }
 
 let everyone model = rigid model ~name:"All" (Bitset.full (Model.n model))
 
+(* The cells of [i]'s views partition the points, so scattering the cells
+   of the views [pred] keeps, filtered by [i]'s old membership, builds
+   [i]'s new membership set without a view lookup per point. *)
 let restrict_by_view model ~name s pred =
-  of_fun model ~name (fun pid ->
-      Bitset.filter
-        (fun i -> pred ~proc:i ~view:(Model.view_at model ~point:pid ~proc:i))
-        (members s ~point:pid))
+  let store = model.Model.store in
+  let off = model.Model.cell_off and ids = model.Model.cell_ids in
+  let sets = fresh model in
+  for v = 0 to View.size store - 1 do
+    let i = View.owner store v in
+    if pred ~proc:i ~view:v then begin
+      let inside = s.sets.(i) and out = sets.(i) in
+      for k = off.(v) to off.(v + 1) - 1 do
+        let q = ids.(k) in
+        if Pset.mem inside q then Pset.add out q
+      done
+    end
+  done;
+  { nr_name = name; sets }
 
-let is_empty_at s ~point = s.table.(point) = 0
-
-let empty_everywhere_in_run model s ~run =
-  let horizon = Model.horizon model in
-  let rec loop m =
-    m > horizon || (s.table.(Model.point model ~run ~time:m) = 0 && loop (m + 1))
-  in
-  loop 0
+let empty_points model s =
+  Pset.complement (Array.fold_left Pset.union (Pset.create (Model.npoints model)) s.sets)
 
 let pp fmt s = Format.fprintf fmt "%s" s.nr_name

@@ -42,6 +42,18 @@ let add s i =
   check_index s i;
   s.words.(i / bpw) <- s.words.(i / bpw) lor (1 lsl (i mod bpw))
 
+(* [lo, hi) clipped to one word at a time: at most [(hi - lo) / bpw + 2]
+   word updates, however long the range. *)
+let add_range s lo hi =
+  if lo < 0 || hi > s.len || lo > hi then invalid_arg "Pset.add_range: bad range";
+  let i = ref lo in
+  while !i < hi do
+    let w = !i / bpw and b = !i mod bpw in
+    let k = min (bpw - b) (hi - !i) in
+    s.words.(w) <- s.words.(w) lor ((all_ones lsr (bpw - k)) lsl b);
+    i := !i + k
+  done
+
 let remove s i =
   check_index s i;
   s.words.(i / bpw) <- s.words.(i / bpw) land lnot (1 lsl (i mod bpw))

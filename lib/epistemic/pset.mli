@@ -25,6 +25,10 @@ val mem : t -> int -> bool
 val add : t -> int -> unit
 (** In-place insertion (used while building atoms). *)
 
+val add_range : t -> int -> int -> unit
+(** [add_range s lo hi] inserts every point of [[lo, hi)] in place, a word
+    at a time — a run's points are one such range. *)
+
 val remove : t -> int -> unit
 
 val union : t -> t -> t

@@ -74,7 +74,9 @@ val horizon : t -> int
 val n : t -> int
 
 val point : t -> run:int -> time:int -> int
-(** Dense point id; inverse of {!run_of_point} / {!time_of_point}. *)
+(** Dense point id; inverse of {!run_of_point} / {!time_of_point}.  Runs
+    are numbered time-inner, so run [r]'s points are the contiguous range
+    [[r * (horizon + 1), (r + 1) * (horizon + 1))]. *)
 
 val run_of_point : t -> int -> run
 val run_index_of_point : t -> int -> int
