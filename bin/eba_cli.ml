@@ -173,27 +173,20 @@ let experiments_cmd =
     Term.(const run $ jobs_term $ metrics_term $ id_arg)
 
 let tables_cmd =
+  let module T = Eba_harness.Tables in
+  let ids = List.map fst T.by_id in
   let which =
     Arg.(
       value
-      & opt (some string) None
-      & info [ "only" ] ~docv:"TABLE" ~doc:"One of t1..t5, f1..f3; default all.")
+      & opt (some (enum (List.map (fun s -> (s, s)) ids))) None
+      & info [ "only" ] ~docv:"TABLE"
+          ~doc:(Printf.sprintf "One of %s; default all." (String.concat ", " ids)))
   in
   let run () () only =
     let fmt = Format.std_formatter in
-    let module T = Eba_harness.Tables in
     (match only with
     | None -> T.all fmt ()
-    | Some "t1" -> T.t1_crash_decision_times fmt ()
-    | Some "t2" -> T.t2_no_optimum fmt ()
-    | Some "t3" -> T.t3_two_step fmt ()
-    | Some "t4" -> T.t4_crash_vs_omission fmt ()
-    | Some "t5" -> T.t5_chain_bound fmt ()
-    | Some "t6" -> T.t6_sba_knowledge fmt ()
-    | Some "f1" -> T.f1_decision_cdf fmt ()
-    | Some "f2" -> T.f2_sba_gap fmt ()
-    | Some "f3" -> T.f3_engine_scaling fmt ()
-    | Some other -> Format.fprintf fmt "unknown table %s@\n" other);
+    | Some id -> (List.assoc id T.by_id) fmt ());
     Format.pp_print_flush fmt ()
   in
   Cmd.v

@@ -2,7 +2,7 @@ module Formula = Eba_epistemic.Formula
 module Nonrigid = Eba_epistemic.Nonrigid
 module Pset = Eba_epistemic.Pset
 module Model = Eba_fip.Model
-module Pattern = Eba_sim.Pattern
+module View = Eba_fip.View
 module Config = Eba_sim.Config
 module Value = Eba_sim.Value
 module Bitset = Eba_util.Bitset
@@ -12,98 +12,107 @@ let believes_faulty env ~suspect i =
   let n = Nonrigid.nonfaulty model in
   Formula.eval env (Formula.B (n, i, Formula.Not (Formula.In (n, suspect))))
 
-(* All pairwise believes-faulty tables for a model, suspects indexed
-   second. *)
-let faulty_tables env =
-  let model = Formula.model env in
-  let n = Model.n model in
-  Array.init n (fun i -> Array.init n (fun j -> believes_faulty env ~suspect:j i))
+(* [believed_faulty model] gives, for each view [v] of each owner [i], the
+   processors [i] believes faulty there: [B^N_i(j ∉ N)] holds at [v] iff [j]
+   is faulty in every run through [cell v] in which [i] is nonfaulty, so
+   the set is the meet of those runs' faulty sets — everyone, vacuously,
+   when [i] is faulty throughout the cell.  One pass over the cells gives
+   all [n²] beliefs of {!believes_faulty} at once. *)
+let believed_faulty model =
+  let store = model.Model.store in
+  let off = model.Model.cell_off and ids = model.Model.cell_ids in
+  let everyone = Bitset.full (Model.n model) in
+  Array.init (View.size store) (fun v ->
+      let i = View.owner store v in
+      let acc = ref everyone in
+      for k = off.(v) to off.(v + 1) - 1 do
+        let faulty = (Model.run_of_point model ids.(k)).Model.faulty in
+        if not (Bitset.mem i faulty) then acc := Bitset.inter !acc faulty
+      done;
+      !acc)
 
 (* Chain reachability inside one run, as a DP over (chain member set, last
-   member).  [reach.(mask * n + last)] at level [m] means: the initial 0 of
+   member).  [cur.(mask * n + last)] at level [m] means: the initial 0 of
    some processor has travelled along a path of distinct processors [mask]
    ending at [last], one hop per round, each hop at round [k] delivered and
    trusted (the receiver does not believe the sender faulty at time [k]).
    A 0-chain exists at [(r,m)] iff some level-[m] path ends at a nonfaulty
-   processor; at [m = 0] that is a nonfaulty processor holding a 0. *)
-let chains_of_run model bf ~run =
+   processor; at [m = 0] that is a nonfaulty processor holding a 0.  A
+   hop's delivery is read off the receiver's view: it heard from exactly
+   the senders whose round-[k] message arrived.
+
+   [walk_chains] calls [visit m c] for [m = 0, 1, ...], [c] telling whether
+   a chain ends exactly at [(run, m)], until [visit] returns [false], the
+   horizon passes, or no path survives (no later chain can exist). *)
+let walk_chains model bf ~run visit =
   let n = Model.n model and horizon = Model.horizon model in
-  let r = Model.run_of_point model (Model.point model ~run ~time:0) in
-  let config = r.Model.config and pattern = r.Model.pattern in
+  let store = model.Model.store in
+  let config = (Model.run_of_point model (Model.point model ~run ~time:0)).Model.config in
   let nonfaulty = Model.nonfaulty model ~run in
-  let nmasks = 1 lsl n in
-  let reach = Array.make (nmasks * n) false in
+  let nstates = (1 lsl n) * n in
+  let cur = ref (Array.make nstates false) and next = ref (Array.make nstates false) in
+  let alive = ref false in
   for j = 0 to n - 1 do
-    if Value.equal (Config.value config j) Value.Zero then
-      reach.((Bitset.to_int (Bitset.singleton j) * n) + j) <- true
+    if Value.equal (Config.value config j) Value.Zero then begin
+      !cur.(((1 lsl j) * n) + j) <- true;
+      alive := true
+    end
   done;
-  let chain_at = Array.make (horizon + 1) false in
-  let ends_nonfaulty level_reach =
+  let ends_nonfaulty reach =
     let ok = ref false in
-    for mask = 0 to nmasks - 1 do
-      for last = 0 to n - 1 do
-        if level_reach.((mask * n) + last) && Bitset.mem last nonfaulty then ok := true
-      done
+    for s = 0 to nstates - 1 do
+      if reach.(s) && Bitset.mem (s mod n) nonfaulty then ok := true
     done;
     !ok
   in
-  let current = ref reach in
-  chain_at.(0) <- ends_nonfaulty !current;
-  for k = 1 to horizon do
-    let next = Array.make (nmasks * n) false in
-    let pid_k = Model.point model ~run ~time:k in
-    for mask = 0 to nmasks - 1 do
-      for last = 0 to n - 1 do
-        if !current.((mask * n) + last) then
-          for j' = 0 to n - 1 do
-            if
-              (not (Bitset.mem j' (Bitset.of_int mask)))
-              && Pattern.delivers pattern ~round:k ~sender:last ~receiver:j'
-              && not (Pset.mem bf.(j').(last) pid_k)
-            then next.(((mask lor (1 lsl j')) * n) + j') <- true
-          done
-      done
-    done;
-    current := next;
-    chain_at.(k) <- ends_nonfaulty !current
-  done;
-  chain_at
-
-module Model_tbl = Hashtbl.Make (struct
-  type t = Model.t
-
-  let equal = ( == )
-  let hash m = Hashtbl.hash (Model.nruns m, Model.npoints m)
-end)
-
-let caches : bool array array Model_tbl.t = Model_tbl.create 8
-
-let chain_table env =
-  let model = Formula.model env in
-  match Model_tbl.find_opt caches model with
-  | Some t -> t
-  | None ->
-      let bf = faulty_tables env in
-      let t =
-        Array.init (Model.nruns model) (fun run -> chains_of_run model bf ~run)
+  let k = ref 0 in
+  while !alive && !k <= horizon && visit !k (ends_nonfaulty !cur) do
+    incr k;
+    if !k <= horizon then begin
+      (* [trusted.(j)]: senders whose round-[k] message [j] got and trusts *)
+      let trusted =
+        Array.init n (fun j ->
+            let v = Model.view model ~run ~time:!k ~proc:j in
+            Bitset.diff (View.heard_from store v) bf.(v))
       in
-      Model_tbl.add caches model t;
-      t
+      let reach = !next in
+      Array.fill reach 0 nstates false;
+      alive := false;
+      for s = 0 to nstates - 1 do
+        if !cur.(s) then begin
+          let mask = s / n and last = s mod n in
+          for j = 0 to n - 1 do
+            if mask land (1 lsl j) = 0 && Bitset.mem last trusted.(j) then begin
+              reach.(((mask lor (1 lsl j)) * n) + j) <- true;
+              alive := true
+            end
+          done
+        end
+      done;
+      next := !cur;
+      cur := reach
+    end
+  done
 
-let chain_at env ~run ~time = (chain_table env).(run).(time)
+let chain_at env ~run ~time =
+  let model = Formula.model env in
+  let found = ref false in
+  walk_chains model (believed_faulty model) ~run (fun m chain ->
+      if m = time then found := chain;
+      m < time);
+  !found
 
 (* ∃0* holds from the first time a chain exists to the end of the run. *)
 let exists0_star env =
   let model = Formula.model env in
-  let table = chain_table env in
+  let bf = believed_faulty model in
   let horizon = Model.horizon model in
   let set = Pset.create (Model.npoints model) in
-  Array.iteri
-    (fun run chain ->
-      let rec first m = if m > horizon || chain.(m) then m else first (m + 1) in
-      let m = first 0 in
-      if m <= horizon then
-        Pset.add_range set (Model.point model ~run ~time:m)
-          (Model.point model ~run ~time:horizon + 1))
-    table;
+  for run = 0 to Model.nruns model - 1 do
+    walk_chains model bf ~run (fun m chain ->
+        if chain then
+          Pset.add_range set (Model.point model ~run ~time:m)
+            (Model.point model ~run ~time:horizon + 1);
+        not chain)
+  done;
   Formula.Atom ("exists0*", set)

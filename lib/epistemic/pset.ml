@@ -3,8 +3,10 @@ type t = { len : int; words : int array }
 module Metrics = Eba_util.Metrics
 
 (* Word-granularity traffic counters: how much bitset material the
-   epistemic kernels actually stream.  Each [init]/[map2] touches a fixed
-   number of words regardless of the job count, so both are deterministic. *)
+   epistemic kernels actually stream.  [words_init] counts the words of
+   every set built from scratch ([create], [full], [init]), [words_map2]
+   the words combined by binary operations.  Each touches a fixed number
+   of words regardless of the job count, so both are deterministic. *)
 let m_words_init = Metrics.counter "pset.words_init"
 let m_words_map2 = Metrics.counter "pset.words_map2"
 
@@ -16,14 +18,18 @@ let all_ones = max_int lsr (Sys.int_size - 1 - bpw)
 
 let nwords len = (len + bpw - 1) / bpw
 
-let create len = { len; words = Array.make (max 1 (nwords len)) 0 }
+let fresh len word =
+  Metrics.add m_words_init (nwords len);
+  { len; words = Array.make (max 1 (nwords len)) word }
+
+let create len = fresh len 0
 
 let last_word_mask len =
   let rem = len mod bpw in
   if rem = 0 then all_ones else all_ones lsr (bpw - rem)
 
 let full len =
-  let s = { len; words = Array.make (max 1 (nwords len)) all_ones } in
+  let s = fresh len all_ones in
   if len = 0 then s.words.(0) <- 0
   else s.words.(nwords len - 1) <- last_word_mask len;
   s
@@ -64,7 +70,6 @@ let remove s i =
    passes a read-only probe of an immutable model). *)
 let init len f =
   let s = create len in
-  Metrics.add m_words_init (nwords len);
   Eba_util.Parallel.parallel_for (nwords len) (fun w ->
       let lo = w * bpw in
       let hi = min len (lo + bpw) in

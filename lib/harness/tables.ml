@@ -292,21 +292,22 @@ let f3_engine_scaling fmt () =
       (4, 2, 2, Eba.Params.Omission);
     ]
 
+let by_id =
+  [
+    ("t1", t1_crash_decision_times);
+    ("t2", t2_no_optimum);
+    ("t3", t3_two_step);
+    ("t4", t4_crash_vs_omission);
+    ("t5", t5_chain_bound);
+    ("t6", t6_sba_knowledge);
+    ("f1", f1_decision_cdf);
+    ("f2", f2_sba_gap);
+    ("f3", f3_engine_scaling);
+  ]
+
 let all fmt () =
-  t1_crash_decision_times fmt ();
-  Format.fprintf fmt "@\n";
-  t2_no_optimum fmt ();
-  Format.fprintf fmt "@\n";
-  t3_two_step fmt ();
-  Format.fprintf fmt "@\n";
-  t4_crash_vs_omission fmt ();
-  Format.fprintf fmt "@\n";
-  t5_chain_bound fmt ();
-  Format.fprintf fmt "@\n";
-  t6_sba_knowledge fmt ();
-  Format.fprintf fmt "@\n";
-  f1_decision_cdf fmt ();
-  Format.fprintf fmt "@\n";
-  f2_sba_gap fmt ();
-  Format.fprintf fmt "@\n";
-  f3_engine_scaling fmt ()
+  List.iteri
+    (fun k (_, table) ->
+      if k > 0 then Format.fprintf fmt "@\n";
+      table fmt ())
+    by_id

@@ -40,4 +40,9 @@ val f3_engine_scaling : Format.formatter -> unit -> unit
 (** F3: model size and continual-common-knowledge closure time vs
     (n, t, horizon), with the naive-fixpoint ablation. *)
 
+val by_id : (string * (Format.formatter -> unit -> unit)) list
+(** Every table and figure by its id ([t1] .. [t6], [f1] .. [f3]), in
+    print order — what [eba tables --only] accepts. *)
+
 val all : Format.formatter -> unit -> unit
+(** Every entry of {!by_id}, separated by blank lines. *)

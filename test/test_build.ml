@@ -197,13 +197,21 @@ let find_run_tests =
           (M.find_run m ~config ~pattern:(Pat.failure_free params) <> None));
   ]
 
-(* the naive builder is an oracle reachable only through [~builder:Naive] *)
+(* CLI surface: the naive builder is an oracle reachable only through
+   [~builder:Naive], and [--only] flags reject unknown ids *)
 let cli_tests =
   [
     test "eba model --build naive is a usage error" (fun () ->
         check_int "eba model" 0 (Sys.command "../bin/eba_cli.exe model >/dev/null 2>&1");
         check_int "eba model --build naive" 124
           (Sys.command "../bin/eba_cli.exe model --build naive >/dev/null 2>&1"));
+    test "eba tables --only takes a known table id, else a usage error" (fun () ->
+        check_int "eba tables --only t2" 0
+          (Sys.command "../bin/eba_cli.exe tables --only t2 >/dev/null 2>&1");
+        check_int "eba tables --only t9" 124
+          (Sys.command "../bin/eba_cli.exe tables --only t9 >/dev/null 2>&1");
+        check_int "eba tables --only E2" 124
+          (Sys.command "../bin/eba_cli.exe tables --only E2 >/dev/null 2>&1"));
   ]
 
 let suite =

@@ -170,6 +170,55 @@ let jobs_tests =
           (all_counters 1 <> all_counters 3));
   ]
 
+(* --- the instrument names the benchmark's traced run reads --- *)
+
+(* One served knowledge-query spec computation, as the registry's thunk
+   runs it: the zoo pair, decisions, spec check and Thm 5.3 check. *)
+let spec_query ?(protocol = "f-lambda-2") model () =
+  let env = Eba.Formula.env model in
+  let pair = List.assoc protocol Eba.Zoo.named env in
+  let d = Eba.Kb_protocol.decide model pair in
+  (Eba.Spec.check d, Eba.Characterize.is_optimal env d)
+
+let kernel_spans = [ "knowledge.known_per_view"; "continual.closure"; "continual.cbox" ]
+
+let kernel_counters =
+  [
+    "knowledge.views_scanned";
+    "knowledge.cell_points_probed";
+    "continual.uf_unions";
+    "pset.words_init";
+    "formula.evals";
+    "formula.memo_hits";
+  ]
+
+let name_tests =
+  [
+    test "one spec query records the kernel spans and counters by name" (fun () ->
+        let m = model crash_3_1_3 in
+        with_metrics (fun () ->
+            ignore (spec_query m ());
+            List.iter
+              (fun name ->
+                match find name with
+                | Some e ->
+                    check (name ^ " is a span") true (e.Metrics.e_kind = Metrics.Span);
+                    check (name ^ " was entered") true (e.Metrics.e_count > 0)
+                | None -> Alcotest.failf "span %s missing" name)
+              kernel_spans;
+            let det = Metrics.deterministic_counters () in
+            List.iter
+              (fun name ->
+                match List.assoc_opt name det with
+                | Some c -> check (name ^ " counted") true (c > 0)
+                | None -> Alcotest.failf "deterministic counter %s missing" name)
+              kernel_counters));
+    test "spec query counters identical for jobs=1 vs jobs=4" (fun () ->
+        let m = model crash_3_1_3 in
+        let query jobs () = Eba.Parallel.with_jobs jobs (spec_query ~protocol:"f-star" m) in
+        check "counters" true (det_counters_of (query 1) = det_counters_of (query 4)));
+  ]
+
 let json_tests =
   [
     test "json printer escapes and shapes values" (fun () ->
@@ -206,4 +255,4 @@ let json_tests =
             | _ -> Alcotest.fail "expected an object"));
   ]
 
-let suite = ("metrics", unit_tests @ metamorphic_tests @ jobs_tests @ json_tests)
+let suite = ("metrics", unit_tests @ metamorphic_tests @ jobs_tests @ name_tests @ json_tests)
