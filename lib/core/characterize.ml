@@ -18,12 +18,12 @@ type ctx = {
 
 let ctx env (d : Kb_protocol.decisions) =
   let model = Formula.model env in
-  let n = Nonrigid.nonfaulty model in
+  let n = Formula.nonfaulty env in
   let pair = d.Kb_protocol.pair in
   let n_and_o = Kb_protocol.conjoin env n "N&O" pair.Kb_protocol.one in
   let n_and_z = Kb_protocol.conjoin env n "N&Z" pair.Kb_protocol.zero in
-  let e0 = Formula.exists_value model Value.zero in
-  let e1 = Formula.exists_value model Value.one in
+  let e0 = Formula.exists env Value.zero in
+  let e1 = Formula.exists env Value.one in
   {
     env;
     n;

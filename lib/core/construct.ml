@@ -4,16 +4,11 @@ module Value = Eba_sim.Value
 
 type order = Zero_first | One_first
 
-let nonfaulty_of env =
-  let model = Formula.model env in
-  Nonrigid.nonfaulty model
-
 let step_zero_first env (pair : Kb_protocol.pair) =
-  let model = Formula.model env in
-  let n = nonfaulty_of env in
+  let n = Formula.nonfaulty env in
   let n_and_o = Kb_protocol.conjoin env n "N&O" pair.Kb_protocol.one in
-  let e0 = Formula.exists_value model Value.zero in
-  let e1 = Formula.exists_value model Value.one in
+  let e0 = Formula.exists env Value.zero in
+  let e1 = Formula.exists env Value.one in
   let c = Formula.Cbox (n_and_o, e0) in
   let zero =
     Decision_set.of_formulas env (fun i -> Formula.B (n, i, Formula.And [ e0; c ]))
@@ -25,11 +20,10 @@ let step_zero_first env (pair : Kb_protocol.pair) =
   { Kb_protocol.zero; one }
 
 let step_one_first env (pair : Kb_protocol.pair) =
-  let model = Formula.model env in
-  let n = nonfaulty_of env in
+  let n = Formula.nonfaulty env in
   let n_and_z = Kb_protocol.conjoin env n "N&Z" pair.Kb_protocol.zero in
-  let e0 = Formula.exists_value model Value.zero in
-  let e1 = Formula.exists_value model Value.one in
+  let e0 = Formula.exists env Value.zero in
+  let e1 = Formula.exists env Value.one in
   let c = Formula.Cbox (n_and_z, e1) in
   let zero =
     Decision_set.of_formulas env (fun i ->

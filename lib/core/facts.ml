@@ -1,5 +1,4 @@
 module Formula = Eba_epistemic.Formula
-module Nonrigid = Eba_epistemic.Nonrigid
 module Pset = Eba_epistemic.Pset
 module Model = Eba_fip.Model
 module View = Eba_fip.View
@@ -8,8 +7,7 @@ module Value = Eba_sim.Value
 module Bitset = Eba_util.Bitset
 
 let believes_faulty env ~suspect i =
-  let model = Formula.model env in
-  let n = Nonrigid.nonfaulty model in
+  let n = Formula.nonfaulty env in
   Formula.eval env (Formula.B (n, i, Formula.Not (Formula.In (n, suspect))))
 
 (* [believed_faulty model] gives, for each view [v] of each owner [i], the

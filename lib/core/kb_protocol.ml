@@ -14,16 +14,21 @@ let pair_equal a b =
 
 type outcome = { at : int; value : Value.t }
 
+(* [codes.(run * n + proc)] is -1 while undecided, else [2 * at + value];
+   [outcomes] holds the [2 * (horizon + 1)] possible answers once, so
+   neither deciding nor reading an outcome allocates. *)
+type table = { codes : int array; outcomes : outcome option array }
+
 type decisions = {
   model : Model.t;
   pair : pair;
-  table : outcome option array;
+  table : table;
   ambiguities : (int * int * int) list;
 }
 
 let decide model pair =
   let n = Model.n model and horizon = Model.horizon model in
-  let table = Array.make (Model.nruns model * n) None in
+  let codes = Array.make (Model.nruns model * n) (-1) in
   let ambiguities = ref [] in
   for run = 0 to Model.nruns model - 1 do
     for i = 0 to n - 1 do
@@ -34,15 +39,20 @@ let decide model pair =
         let in_zero = Decision_set.mem pair.zero v
         and in_one = Decision_set.mem pair.one v in
         if in_zero && in_one then ambiguities := (run, i, !time) :: !ambiguities
-        else if in_zero then table.((run * n) + i) <- Some { at = !time; value = Value.Zero }
-        else if in_one then table.((run * n) + i) <- Some { at = !time; value = Value.One };
+        else if in_zero || in_one then
+          codes.((run * n) + i) <- (2 * !time) + if in_one then 1 else 0;
         time := if in_zero || in_one then horizon + 1 else !time + 1
       done
     done
   done;
-  { model; pair; table; ambiguities = List.rev !ambiguities }
+  let outcomes =
+    Array.init (2 * (horizon + 1)) (fun c -> Some { at = c / 2; value = Value.of_int (c mod 2) })
+  in
+  { model; pair; table = { codes; outcomes }; ambiguities = List.rev !ambiguities }
 
-let outcome d ~run ~proc = d.table.((run * Model.n d.model) + proc)
+let outcome d ~run ~proc =
+  let c = d.table.codes.((run * Model.n d.model) + proc) in
+  if c < 0 then None else d.table.outcomes.(c)
 
 (* Decisions are irreversible, so [decide_i(y)] holds on a suffix of each
    run: from the decision time to the horizon. *)

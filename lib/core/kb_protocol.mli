@@ -23,10 +23,14 @@ val pair_equal : pair -> pair -> bool
 
 type outcome = { at : int; value : Value.t }
 
+type table
+(** Every processor's first-entry outcome in every run, read through
+    {!outcome}. *)
+
 type decisions = private {
   model : Model.t;
   pair : pair;
-  table : outcome option array;  (** indexed [run * n + proc] *)
+  table : table;
   ambiguities : (int * int * int) list;  (** (run, proc, time) in both sets *)
 }
 

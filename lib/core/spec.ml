@@ -21,41 +21,31 @@ let check (d : Kb_protocol.decisions) =
   and validity = ref true
   and decision = ref true
   and simultaneity = ref true in
-  let max_time = ref None in
-  let note_time t =
-    max_time := Some (match !max_time with None -> t | Some m -> max m t)
-  in
+  let max_time = ref (-1) in
   for run = 0 to Model.nruns model - 1 do
     let nonfaulty = Model.nonfaulty model ~run in
     let unanimous = Config.all_equal (Model.run_of_point model (Model.point model ~run ~time:0)).Model.config in
-    let seen_value = ref None and seen_time = ref None in
-    Bitset.iter
-      (fun i ->
+    (* the first nonfaulty decision of the run, compared with the others *)
+    let seen_value = ref None and seen_time = ref (-1) in
+    for i = 0 to Model.n model - 1 do
+      if Bitset.mem i nonfaulty then
         match Kb_protocol.outcome d ~run ~proc:i with
-        | None -> decision := false
-        | Some { Kb_protocol.at; value } ->
-            note_time at;
+        | None ->
+            decision := false;
+            if Option.is_some unanimous then validity := false
+        | Some { Kb_protocol.at; value } -> (
+            if at > !max_time then max_time := at;
             (match !seen_value with
             | None -> seen_value := Some value
             | Some v -> if not (Value.equal v value) then weak_agreement := false);
-            (match !seen_time with
-            | None -> seen_time := Some at
-            | Some t -> if t <> at then simultaneity := false);
-            (match unanimous with
+            if !seen_time < 0 then seen_time := at
+            else if !seen_time <> at then simultaneity := false;
+            match unanimous with
             | Some v when not (Value.equal v value) -> weak_validity := false
-            | Some _ | None -> ()))
-      nonfaulty;
-    (match unanimous with
-    | Some _ ->
-        Bitset.iter
-          (fun i ->
-            match Kb_protocol.outcome d ~run ~proc:i with
-            | None -> validity := false
-            | Some { Kb_protocol.value; _ } ->
-                if not (Value.equal value (Option.get unanimous)) then validity := false)
-          nonfaulty
-    | None -> ())
+            | Some _ | None -> ())
+    done
   done;
+  let max_time = if !max_time < 0 then None else Some !max_time in
   let weak_agreement = !weak_agreement in
   (* A view in both decision sets is only a real ambiguity for a processor
      that might be nonfaulty; a processor that knows its own faultiness
@@ -73,7 +63,7 @@ let check (d : Kb_protocol.decisions) =
     decision = !decision;
     simultaneity = !simultaneity;
     unambiguous = not nonfaulty_ambiguity;
-    max_decision_time = !max_time;
+    max_decision_time = max_time;
   }
 
 let is_nontrivial_agreement r = r.weak_agreement && r.weak_validity && r.unambiguous

@@ -1,5 +1,4 @@
 module Formula = Eba_epistemic.Formula
-module Nonrigid = Eba_epistemic.Nonrigid
 module Model = Eba_fip.Model
 module View = Eba_fip.View
 module Value = Eba_sim.Value
@@ -10,13 +9,11 @@ let f_lambda_1 env = Construct.step_zero_first env (f_lambda (Formula.model env)
 let f_lambda_2 env = Construct.optimize ~first:Construct.Zero_first env (f_lambda (Formula.model env))
 
 let believes_exists env v =
-  let model = Formula.model env in
-  let n = Nonrigid.nonfaulty model in
-  Decision_set.of_formulas env (fun i -> Formula.B (n, i, Formula.exists_value model v))
+  let n = Formula.nonfaulty env in
+  Decision_set.of_formulas env (fun i -> Formula.B (n, i, Formula.exists env v))
 
 let crash_simple env =
-  let model = Formula.model env in
-  let n = Nonrigid.nonfaulty model in
+  let n = Formula.nonfaulty env in
   let zero = believes_exists env Value.zero in
   let n_and_z = Kb_protocol.conjoin env n "N&Zcr" zero in
   let one =
@@ -78,8 +75,7 @@ let p1 env =
   { Kb_protocol.zero = late; one = eager }
 
 let chain_zero env =
-  let model = Formula.model env in
-  let n = Nonrigid.nonfaulty model in
+  let n = Formula.nonfaulty env in
   let e0star = Facts.exists0_star env in
   let zero = Decision_set.of_formulas env (fun i -> Formula.B (n, i, e0star)) in
   (* The paper writes O⁰_i = B^N_i ¬∃0*; since ¬∃0* trivially holds at time
@@ -92,12 +88,11 @@ let chain_zero env =
 let f_star env = Construct.optimize ~first:Construct.One_first env (chain_zero env)
 
 let f_star_direct env =
-  let model = Formula.model env in
-  let n = Nonrigid.nonfaulty model in
+  let n = Formula.nonfaulty env in
   let pair0 = chain_zero env in
   let n_and_o0 = Kb_protocol.conjoin env n "N&O0" pair0.Kb_protocol.one in
-  let e0 = Formula.exists_value model Value.zero in
-  let e1 = Formula.exists_value model Value.one in
+  let e0 = Formula.exists env Value.zero in
+  let e1 = Formula.exists env Value.one in
   let c = Formula.Cbox (n_and_o0, e0) in
   let zero = Decision_set.of_formulas env (fun i -> Formula.B (n, i, Formula.And [ e0; c ])) in
   let one =
@@ -117,9 +112,8 @@ let sba_common_knowledge env =
      0.  Common knowledge is shared (C φ ⇒ E C φ), so decisions are
      simultaneous; this is the baseline EBA is measured against at the
      knowledge level. *)
-  let model = Formula.model env in
-  let n = Nonrigid.nonfaulty model in
-  let e0 = Formula.exists_value model Value.zero in
+  let n = Formula.nonfaulty env in
+  let e0 = Formula.exists env Value.zero in
   let n_and_kz = Kb_protocol.conjoin env n "N&kz" (knows_zero_set env) in
   let never_zero_witness = Formula.Throughout (Formula.Empty n_and_kz) in
   let c0 = Formula.C (n, e0) and c1 = Formula.C (n, never_zero_witness) in
@@ -146,10 +140,9 @@ let f_zero env =
   (* Section 3.2's F0: decide 0 on believing eventual common knowledge of
      ∃0; decide 1 on believing C◇ ∃1 together with the permanent absence
      of C◇ ∃0.  Correct but deliberately suboptimal. *)
-  let model = Formula.model env in
-  let n = Nonrigid.nonfaulty model in
-  let e0 = Formula.exists_value model Value.zero in
-  let e1 = Formula.exists_value model Value.one in
+  let n = Formula.nonfaulty env in
+  let e0 = Formula.exists env Value.zero in
+  let e1 = Formula.exists env Value.one in
   let c0 = Formula.Cdia (n, e0) in
   let c1 = Formula.And [ Formula.Cdia (n, e1); Formula.Always (Formula.Not c0) ] in
   let zero = Decision_set.of_formulas env (fun i -> Formula.B (n, i, c0)) in
@@ -159,7 +152,7 @@ let f_zero env =
 let knows_zero_structural env =
   let model = Formula.model env in
   let store = model.Model.store in
-  let n = Nonrigid.nonfaulty model in
+  let n = Formula.nonfaulty env in
   let zero = Decision_set.of_views model (View.knows_zero store) in
   let n_and_z = Kb_protocol.conjoin env n "N&Zkz" zero in
   let one =

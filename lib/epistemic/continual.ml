@@ -43,23 +43,30 @@ let closure model s =
   let landable = Pset.create (Model.npoints model) in
   let participates = Pset.create (Model.nruns model) in
   let unions = ref 0 in
+  (* owners never in S have empty lander groups: skip their cells *)
+  let live =
+    Array.init (Model.n model) (fun i -> not (Pset.is_empty (Nonrigid.points s ~proc:i)))
+  in
   for v = 0 to View.size store - 1 do
-    let inside = Nonrigid.points s ~proc:(View.owner store v) in
-    (* the lander group of [v]: points of the cell at which the owner is in S *)
-    let first = ref (-1) in
-    for k = off.(v) to off.(v + 1) - 1 do
-      let q = ids.(k) in
-      if Pset.mem inside q then begin
-        Pset.add landable q;
-        let run = Model.run_index_of_point model q in
-        Pset.add participates run;
-        if !first < 0 then first := run
-        else begin
-          incr unions;
-          Uf.union uf !first run
+    let i = View.owner store v in
+    if live.(i) then begin
+      let inside = Nonrigid.points s ~proc:i in
+      (* the lander group of [v]: points of the cell at which the owner is in S *)
+      let first = ref (-1) in
+      for k = off.(v) to off.(v + 1) - 1 do
+        let q = ids.(k) in
+        if Pset.mem inside q then begin
+          Pset.add landable q;
+          let run = Model.run_index_of_point model q in
+          Pset.add participates run;
+          if !first < 0 then first := run
+          else begin
+            incr unions;
+            Uf.union uf !first run
+          end
         end
-      end
-    done
+      done
+    end
   done;
   Metrics.add m_unions !unions;
   if Metrics.enabled () then Metrics.add m_landable (Pset.cardinal landable);

@@ -58,10 +58,22 @@ type env = {
   env_model : Model.t;
   mutable closures : (Nonrigid.t * Continual.closure) list;
   memo : Pset.t Memo.t;
+  nonfaulty : Nonrigid.t Lazy.t;
+  exists : t Lazy.t array;  (* ∃0, ∃1 *)
 }
 
-let env model = { env_model = model; closures = []; memo = Memo.create 64 }
+let env model =
+  {
+    env_model = model;
+    closures = [];
+    memo = Memo.create 64;
+    nonfaulty = lazy (Nonrigid.nonfaulty model);
+    exists = Array.init 2 (fun v -> lazy (exists_value model (Value.of_int v)));
+  }
+
 let model e = e.env_model
+let nonfaulty e = Lazy.force e.nonfaulty
+let exists e v = Lazy.force e.exists.(Value.to_int v)
 
 let closure_for e s =
   match List.find_opt (fun (s', _) -> s' == s) e.closures with

@@ -4,8 +4,13 @@
 
     Formulas are built against a fixed model (atoms are extensional point
     sets), evaluated to point sets, and printed for diagnostics.  An
-    {!env} caches the continual-knowledge closures per nonrigid set, so
-    repeated [C□_S] evaluations with the same [S] cost one union-find. *)
+    {!env} is the evaluation state for one model: it caches the
+    continual-knowledge closure per nonrigid set (so repeated [C□_S]
+    evaluations with the same [S] cost one union-find), the value of every
+    modal subformula it has evaluated, and the shared 𝒩 and [∃v].  All of
+    it lives and dies with the env; nothing is kept per model or across
+    envs.  An env is used by one domain at a time (the kernels it calls
+    may still fan out over {!Eba_util.Parallel}). *)
 
 module Model = Eba_fip.Model
 module Value = Eba_sim.Value
@@ -45,7 +50,24 @@ type env
 
 val env : Model.t -> env
 val model : env -> Model.t
+
+val nonfaulty : env -> Nonrigid.t
+(** 𝒩 ({!Nonrigid.nonfaulty}), built on first use and then shared by
+    every caller of the env — one physical set, so closures and memo
+    entries keyed on it are reused. *)
+
+val exists : env -> Value.t -> t
+(** {!exists_value}, built once per env and value. *)
+
 val eval : env -> t -> Pset.t
+(** The point set of a formula.  Modal and temporal nodes ([K], [B], [E],
+    [C], [E□], [C□], [C◇], [S = ∅], [□], [◇], [⊟]) are memoized in the env
+    by physical identity: evaluating a node value again — inside one
+    formula or across calls — returns the stored set (counted in
+    [formula.memo_hits]; computed nodes in [formula.evals]).  Build a
+    shared subformula once and reuse the value to benefit.  The result may
+    be shared with the env and with atoms: do not mutate it. *)
+
 val holds : env -> t -> point:int -> bool
 val valid : env -> t -> bool
 (** True iff the formula holds at every point of the model — the paper's
