@@ -30,10 +30,10 @@ let atom model name pred = Atom (name, Pset.init (Model.npoints model) pred)
 let exists_value model v =
   let name = Format.asprintf "exists%a" Value.pp v in
   let s = Pset.create (Model.npoints model) in
-  let len = Model.horizon model + 1 in
   for run = 0 to Model.nruns model - 1 do
-    let config = (Model.run_of_point model (run * len)).Model.config in
-    if Config.exists_value config v then Pset.add_range s (run * len) ((run + 1) * len)
+    let first = Model.point model ~run ~time:0 in
+    if Config.exists_value (Model.run_of_point model first).Model.config v then
+      Pset.add_range s first (first + Model.horizon model + 1)
   done;
   Atom (name, s)
 

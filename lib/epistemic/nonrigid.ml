@@ -14,20 +14,21 @@ let fresh model = Array.init (Model.n model) (fun _ -> Pset.create (Model.npoint
    contiguous range of point ids per nonfaulty processor. *)
 let nonfaulty model =
   let sets = fresh model in
-  let len = Model.horizon model + 1 in
   for run = 0 to Model.nruns model - 1 do
+    let first = Model.point model ~run ~time:0 in
     let nf = Model.nonfaulty model ~run in
     for i = 0 to Model.n model - 1 do
-      if Bitset.mem i nf then Pset.add_range sets.(i) (run * len) ((run + 1) * len)
+      if Bitset.mem i nf then Pset.add_range sets.(i) first (first + Model.horizon model + 1)
     done
   done;
   { nr_name = "N"; sets }
 
 let rigid model ~name set =
   let np = Model.npoints model in
-  { nr_name = name;
-    sets = Array.init (Model.n model) (fun i ->
-        if Bitset.mem i set then Pset.full np else Pset.create np) }
+  let sets =
+    Array.init (Model.n model) (fun i -> if Bitset.mem i set then Pset.full np else Pset.create np)
+  in
+  { nr_name = name; sets }
 
 let everyone model = rigid model ~name:"All" (Bitset.full (Model.n model))
 
