@@ -7,18 +7,18 @@ let s_kernel = Metrics.span "knowledge.known_per_view"
 let m_views = Metrics.counter "knowledge.views_scanned"
 let m_probes = Metrics.counter "knowledge.cell_points_probed"
 
-(* [known_per_view model ~proc phi] is [K_proc φ], the kernel behind [K],
-   [B] and [E].  It scans only the views [proc] owns: for each, whether φ
-   holds at every point of its cell.  The cells of [proc]'s views partition
-   the points, so the result is the union of the cells of the known views,
-   scattered straight out of the model's CSR arrays with no view lookup
-   per point.  The model is immutable after [Model.build] and each scan
-   iteration writes only its own byte, so the scan parallelizes over
-   domains.  [m_probes] counts whole cells even when a scan exits early
-   (and both counters are batched per chunk rather than bumped per view),
-   keeping the totals functions of the model alone — identical across job
-   counts and short-circuit luck. *)
-let known_per_view model ~proc phi =
+(* [knows model ~proc phi] is [K_proc φ], the kernel behind [K], [B] and
+   [E] (timed as the [knowledge.known_per_view] span).  It scans only the
+   views [proc] owns: for each, whether φ holds at every point of its
+   cell.  The cells of [proc]'s views partition the points, so the result
+   is the union of the cells of the known views, scattered straight out of
+   the model's CSR arrays with no view lookup per point.  The model is
+   immutable after [Model.build] and each scan iteration writes only its
+   own byte, so the scan parallelizes over domains.  [m_probes] counts
+   whole cells even when a scan exits early (and both counters are batched
+   per chunk rather than bumped per view), keeping the totals functions of
+   the model alone — identical across job counts and short-circuit luck. *)
+let knows model ~proc phi =
   Metrics.time s_kernel @@ fun () ->
   let store = model.Model.store in
   let nv = View.size store in
@@ -51,11 +51,9 @@ let known_per_view model ~proc phi =
   done;
   out
 
-let knows model ~proc phi = known_per_view model ~proc phi
-
 (* B^S_i φ = K_i(i ∈ S ⇒ φ), and i ∈ S ⇒ φ is the complement of S_i \ φ. *)
 let believes model s ~proc phi =
-  known_per_view model ~proc (Pset.complement (Pset.diff (Nonrigid.points s ~proc) phi))
+  knows model ~proc (Pset.complement (Pset.diff (Nonrigid.points s ~proc) phi))
 
 (* E_S φ holds where every member believes φ: ∩_i (i ∉ S ∪ B^S_i φ). *)
 let everyone_knows model s phi =
